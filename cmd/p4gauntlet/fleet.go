@@ -12,7 +12,6 @@ import (
 	"syscall"
 	"time"
 
-	"gauntlet/internal/bugs"
 	"gauntlet/internal/core"
 	"gauntlet/internal/corpus"
 	"gauntlet/internal/fleet"
@@ -61,8 +60,16 @@ func fleetRunConfig(ff fuzzFlags) (fleet.RunConfig, error) {
 		return fleet.RunConfig{}, fmt.Errorf("-mutate-ratio %g is incompatible with fleet mode: leases replay as pure functions of their seeds, which mutation's cross-lease corpus dependence breaks", ff.mutateRatio)
 	}
 	if ff.epochPrograms > 0 {
-		return fleet.RunConfig{}, fmt.Errorf("-epoch-programs is incompatible with fleet mode: workers run one bounded engine per lease, so memory is bounded by the lease length instead")
+		return fleet.RunConfig{}, fmt.Errorf("-epoch-programs is incompatible with fleet mode: each worker runs one engine for its whole connection and rotates its solver context every %d programs itself", core.DefaultEpochPrograms)
 	}
+	return runConfig(ff)
+}
+
+// runConfig translates the shared fuzz flags into campaign settings: the
+// fleet's wire config, which fleet.EngineConfig turns into the engine
+// configuration for fleet workers and single-process runs alike. A
+// defect or backend typo fails here, at startup.
+func runConfig(ff fuzzFlags) (fleet.RunConfig, error) {
 	run := fleet.RunConfig{
 		Seed:            ff.seed,
 		Backend:         ff.backend,
@@ -74,15 +81,8 @@ func fleetRunConfig(ff fuzzFlags) (fleet.RunConfig, error) {
 		OracleTimeoutMs: ff.oracleTimeout.Milliseconds(),
 		Defects:         splitDefects(ff.defects),
 	}
-	// Validate the defect list here, not first on a worker: a typo should
-	// fail the coordinator at startup.
-	reg := bugs.Load()
-	for _, id := range run.Defects {
-		if reg.ByID(id) == nil {
-			return fleet.RunConfig{}, fmt.Errorf("-defects: registry has no bug %q", id)
-		}
-	}
-	return run, nil
+	_, err := fleet.EngineConfig(&run)
+	return run, err
 }
 
 func splitDefects(list string) []string {
@@ -190,17 +190,7 @@ func coordinatorMain(ff fuzzFlags, fl fleetFlags) {
 	jw := newJSONLWriter(sink, func(what string, err error) {
 		fmt.Fprintf(os.Stderr, "p4gauntlet: jsonl %s record lost: %v\n", what, err)
 	})
-	cfg.OnFinding = func(f core.Finding) {
-		fmt.Fprintf(os.Stderr, "seed %d: %s", f.Seed, f.Kind)
-		if f.Pass != "" {
-			fmt.Fprintf(os.Stderr, " in %s", f.Pass)
-		}
-		if f.SizeBefore != f.SizeAfter {
-			fmt.Fprintf(os.Stderr, " (witness reduced %d -> %d stmts)", f.SizeBefore, f.SizeAfter)
-		}
-		fmt.Fprintf(os.Stderr, ": %s\n", f.Detail)
-		jw.write(f, fmt.Sprintf("finding (seed %d)", f.Seed))
-	}
+	cfg.OnFinding = func(f core.Finding) { reportFinding(os.Stderr, jw, f) }
 
 	if ff.httpAddr != "" {
 		cfg.Obs = obs.NewRegistry()
@@ -297,8 +287,9 @@ func coordinatorMain(ff fuzzFlags, fl fleetFlags) {
 	}
 }
 
-// workerMain dials the coordinator (retrying while it boots) and runs
-// leases until drained. Campaign configuration arrives over the wire.
+// workerMain dials the coordinator (retrying while it boots) and streams
+// leases through one engine until drained. Campaign configuration arrives
+// over the wire.
 func workerMain(fl fleetFlags) {
 	if fl.connect == "" {
 		fmt.Fprintln(os.Stderr, "p4gauntlet: worker mode requires -connect ADDR")

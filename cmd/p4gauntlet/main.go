@@ -46,8 +46,8 @@
 //
 // Coordinator/worker mode shards a bounded campaign across processes:
 // the coordinator (-mode coordinator -listen ADDR) partitions the seed
-// stream into work leases, each worker (-mode worker -connect ADDR) runs
-// the unchanged streaming engine over its leases, and the coordinator
+// stream into work leases, each worker (-mode worker -connect ADDR)
+// streams its leases through one engine, and the coordinator
 // merges results in canonical lease order with fleet-wide fingerprint
 // dedup — so for a fixed -seeds budget the fleet's findings, witnesses
 // and report order are identical to a single-process run at any worker
@@ -85,12 +85,10 @@ import (
 	"syscall"
 	"time"
 
-	"gauntlet/internal/bugs"
-	"gauntlet/internal/compiler"
 	"gauntlet/internal/core"
 	"gauntlet/internal/corpus"
 	"gauntlet/internal/faultinject"
-	"gauntlet/internal/generator"
+	"gauntlet/internal/fleet"
 	"gauntlet/internal/obs"
 	"gauntlet/internal/persist"
 )
@@ -111,7 +109,7 @@ func main() {
 	mutateRatio := flag.Float64("mutate-ratio", 0.5, "fraction of programs drawn by mutating corpus seeds (fuzz mode, 0 = pure grammar generation)")
 	corpusDir := flag.String("corpus", "", "corpus directory: load seeds before the run and save the admitted corpus after (fuzz mode)")
 	statsInterval := flag.Duration("stats-interval", 0, "emit a periodic stats record to -jsonl every D (fuzz/serve mode; serve defaults to 30s, fuzz to final record only)")
-	epochPrograms := flag.Int("epoch-programs", 0, "rotate the solver context + caches every N programs, bounding per-epoch memory (serve mode defaults to 4096; 0 in fuzz mode = never)")
+	epochPrograms := flag.Int("epoch-programs", 0, fmt.Sprintf("rotate the solver context + caches every N programs, bounding per-epoch memory (serve mode defaults to %d; 0 in fuzz mode = never)", core.DefaultEpochPrograms))
 	stateDir := flag.String("state", "", "durable state directory (fuzz/serve mode): fsynced findings journal, periodic atomic checkpoints and quarantine records")
 	resumeDir := flag.String("resume", "", "resume a killed campaign from the durable state in DIR (implies -state DIR): restores the corpus and seed watermark from the checkpoint and pre-seeds dedup from the journal so reprocessed slots are never re-reported")
 	checkpointPrograms := flag.Int("checkpoint-programs", 0, "checkpoint cadence in folded programs (needs -state; 0 = every epoch, or every 256 programs when epochs are off)")
@@ -170,7 +168,7 @@ func main() {
 				ff.seeds = 0
 			}
 			if !explicit["epoch-programs"] {
-				ff.epochPrograms = 4096
+				ff.epochPrograms = core.DefaultEpochPrograms
 			}
 			if !explicit["stats-interval"] {
 				ff.statsInterval = 30 * time.Second
@@ -267,46 +265,41 @@ type statuszPayload struct {
 	Quarantine []core.QuarantineRecord `json:"quarantine,omitempty"`
 }
 
+// reportFinding writes a finding's one-line human summary to w and its
+// JSON record to jw.
+func reportFinding(w io.Writer, jw *jsonlWriter, f core.Finding) {
+	fmt.Fprintf(w, "seed %d: %s", f.Seed, f.Kind)
+	if f.Pass != "" {
+		fmt.Fprintf(w, " in %s", f.Pass)
+	}
+	if f.Origin == "mutate" {
+		fmt.Fprintf(w, " [mutant]")
+	}
+	if f.SizeBefore != f.SizeAfter {
+		fmt.Fprintf(w, " (witness reduced %d -> %d stmts)", f.SizeBefore, f.SizeAfter)
+	}
+	fmt.Fprintf(w, ": %s\n", f.Detail)
+	jw.write(f, fmt.Sprintf("finding (seed %d)", f.Seed))
+}
+
 // fuzz drives the streaming engine: the long-running bug-hunting service
 // the paper's CI proposal asks for, as a thin wrapper over core.Engine
 // plus the corpus directory and JSONL observability plumbing.
 func fuzz(ff fuzzFlags) {
-	cfg := core.DefaultEngineConfig()
-	cfg.StartSeed = ff.start
-	cfg.Seeds = ff.seeds
-	cfg.Seed = ff.seed
-	cfg.Workers = ff.workers
-	cfg.PacketTests = ff.packets
-	cfg.Reduce = ff.reduce
-	cfg.ReduceOpts.Parallelism = ff.reduceWorkers
-	cfg.ConcolicOff = !ff.concolic
-	cfg.MutateRatio = ff.mutateRatio
-	cfg.EpochPrograms = ff.epochPrograms
-	switch ff.backend {
-	case "v1model":
-		cfg.Backend = generator.V1Model
-	case "tna":
-		cfg.Backend = generator.TNA
-	default:
-		fmt.Fprintf(os.Stderr, "p4gauntlet: unknown backend %q (want v1model or tna)\n", ff.backend)
+	// The engine is built from the same campaign settings a fleet worker
+	// receives, so a single-process run is directly comparable to a fleet
+	// run (the fleet smoke harness's baseline).
+	run, err := runConfig(ff)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "p4gauntlet: %v\n", err)
 		os.Exit(2)
 	}
-	// -defects instruments registry bugs into the pipeline — the same
-	// known-defect seeding the fleet smoke harness uses, so a
-	// single-process baseline run is directly comparable to a fleet run.
-	if ff.defects != "" {
-		reg := bugs.Load()
-		var active []*bugs.Bug
-		for _, id := range splitDefects(ff.defects) {
-			b := reg.ByID(id)
-			if b == nil {
-				fmt.Fprintf(os.Stderr, "p4gauntlet: -defects: registry has no bug %q\n", id)
-				os.Exit(2)
-			}
-			active = append(active, b)
-		}
-		cfg.Passes = bugs.Instrument(compiler.DefaultPasses(), active)
-	}
+	cfg, _ := fleet.EngineConfig(&run)
+	cfg.StartSeed = ff.start
+	cfg.Seeds = ff.seeds
+	cfg.ReduceOpts.Parallelism = ff.reduceWorkers
+	cfg.MutateRatio = ff.mutateRatio
+	cfg.EpochPrograms = ff.epochPrograms
 	if ff.corpusDir != "" {
 		c := corpus.New(0)
 		if n, err := c.Load(ff.corpusDir); err == nil {
@@ -372,20 +365,7 @@ func fuzz(ff fuzzFlags) {
 			es.Context.Simp.Entries, es.Cache.VerdictHits+es.Cache.VerdictMisses)
 		writeJSONL(epochRecord{Epoch: es}, fmt.Sprintf("epoch %d", es.Index))
 	}
-	cfg.OnFinding = func(f core.Finding) {
-		fmt.Fprintf(human, "seed %d: %s", f.Seed, f.Kind)
-		if f.Pass != "" {
-			fmt.Fprintf(human, " in %s", f.Pass)
-		}
-		if f.Origin == "mutate" {
-			fmt.Fprintf(human, " [mutant]")
-		}
-		if f.SizeBefore != f.SizeAfter {
-			fmt.Fprintf(human, " (witness reduced %d -> %d stmts)", f.SizeBefore, f.SizeAfter)
-		}
-		fmt.Fprintf(human, ": %s\n", f.Detail)
-		writeJSONL(f, fmt.Sprintf("finding (seed %d)", f.Seed))
-	}
+	cfg.OnFinding = func(f core.Finding) { reportFinding(human, jw, f) }
 	cfg.OnOracleError = func(seed int64, err error) {
 		fmt.Fprintf(os.Stderr, "seed %d: tool limitation: %v\n", seed, err)
 	}

@@ -207,9 +207,10 @@
 // site. The package-level constructors and smt.True/False remain as the
 // process-default context for tests, examples and campaign-scale runs.
 //
-// Long-running deployments bound memory by epoch-based reclamation:
-// core.Engine (EpochPrograms > 0, the p4gauntlet serve mode) owns one
-// context per epoch and rotates it at a SyncInterval-aligned round
+// Long-running deployments bound memory by epoch-based reclamation, the
+// one memory mechanism: core.Engine (EpochPrograms > 0, the p4gauntlet
+// serve mode and every fleet worker, at core.DefaultEpochPrograms) owns
+// one context per epoch and rotates it at a SyncInterval-aligned round
 // boundary — the same deterministic fold point the corpus admissions use
 // — installing a fresh smt.Context + validate.Cache pair. In-flight
 // oracle calls finish on the pair they captured (Oracle.CacheFn resolves
@@ -278,15 +279,18 @@
 //
 // internal/fleet shards one campaign across processes — one box or many
 // — without changing what it computes. A coordinator slices the master
-// seed stream into leases aligned to the engine's SyncInterval; workers
-// (p4gauntlet -mode worker -connect ADDR) run one bounded core.Engine
-// per lease with MutateRatio 0, so every lease is a pure function of
-// its seeds; and the coordinator (p4gauntlet -mode coordinator -listen
-// ADDR, -fleet N to fork a local fleet) completes leases
-// first-result-wins but releases them only behind a contiguous-prefix
-// watermark, re-deduplicating findings by their stable fingerprints and
-// refolding each lease's corpus delta (corpus.DeltaSet) in canonical
-// order. The consequence, race-tested and smoke-tested at the real
+// seed stream into leases aligned to the engine's SyncInterval; each
+// worker (p4gauntlet -mode worker -connect ADDR) runs one core.Engine for
+// its whole connection with MutateRatio 0 and streams its leases through
+// it (Engine.RunLeases: lease N+1 generates and compiles while lease N
+// drains). Corpus, dedup, reduction caps and stats reset at every lease
+// boundary and provenance rounds count from the campaign's first slot,
+// so every lease is a pure function of its seeds; and the coordinator
+// (p4gauntlet -mode coordinator -listen ADDR, -fleet N to fork a local
+// fleet) completes leases first-result-wins but releases them only behind
+// a contiguous-prefix watermark, re-deduplicating findings by their
+// stable fingerprints and refolding each lease's corpus delta
+// (corpus.DeltaSet) in canonical order. The consequence, race-tested and smoke-tested at the real
 // process boundary: finding set, witness bytes, report order and merged
 // corpus are byte-identical to a single process at any worker count.
 // The protocol is a minimal length-prefixed JSON stream (stdlib only);

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gauntlet/internal/compiler"
+	"gauntlet/internal/generator"
 	"gauntlet/internal/p4/ast"
 	"gauntlet/internal/p4/eval"
 	"gauntlet/internal/p4/parser"
@@ -339,4 +340,24 @@ type panicPass struct{}
 func (panicPass) Name() string { return "Panicky" }
 func (panicPass) Run(p *ast.Program) (*ast.Program, error) {
 	panic("assertion failed: visitor invariant violated")
+}
+
+// TestCopyPropagationBlockScope is the regression test for generator
+// seed 1551: after inlining, a nested block declares tmp_retval_3 and a
+// copy fact naming it (lv_6 → tmp_retval_3) outlived the block, so a
+// read of lv_6 below the block was rewritten to an out-of-scope name and
+// the reference pipeline reported an invalid transformation.
+func TestCopyPropagationBlockScope(t *testing.T) {
+	prog := generator.Generate(generator.DefaultConfig(1551))
+	res, err := compiler.New(compiler.DefaultPasses()...).Compile(prog)
+	if err != nil {
+		t.Fatalf("reference pipeline rejected generator seed 1551: %v", err)
+	}
+	verdicts, err := validate.Snapshots(res, validate.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range validate.Failures(verdicts) {
+		t.Errorf("reference pipeline miscompiled generator seed 1551: %s", f)
+	}
 }

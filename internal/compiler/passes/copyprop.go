@@ -173,6 +173,17 @@ func propagateStmt(s ast.Stmt, facts map[string]ast.Expr) {
 		applyKills(facts, killed)
 	case *ast.BlockStmt:
 		propagateBlock(s, facts)
+		// Names declared in the block go out of scope with it: drop every
+		// fact keyed by or naming them, or a read below the block could be
+		// rewritten to a name that no longer exists.
+		for _, st := range s.Stmts {
+			switch d := st.(type) {
+			case *ast.VarDeclStmt:
+				invalidate(facts, d.Name)
+			case *ast.ConstDeclStmt:
+				invalidate(facts, d.Name)
+			}
+		}
 	case *ast.CallStmt:
 		for i, a := range s.Call.Args {
 			// Lvalue arguments may be out/inout destinations; leave them.

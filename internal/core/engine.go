@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -142,6 +144,10 @@ type Finding struct {
 	// which witness bytes survive — is independent of how long each
 	// reduction took.
 	order int64
+	// lease owns the candidate's slot; end marks the lease's end marker,
+	// which carries no finding and trails the lease's last candidate.
+	lease *leaseRun
+	end   bool
 }
 
 // Provenance traces one finding's lineage through the pipeline: the
@@ -179,10 +185,42 @@ type Provenance struct {
 	QueryTiers map[string]uint64 `json:"query_tiers,omitempty"`
 }
 
+// Lease is one contiguous slot range fed to Engine.RunLeases. Its corpus,
+// dedup sets, per-pass reduction caps and stats digest are its own, so
+// its findings are a pure function of the configuration and the lease;
+// only the epoch's solver context and validation cache — cost, never
+// verdicts — carry over from earlier leases.
+type Lease struct {
+	// Start and Count bound the slots [Start, Start+Count) (Count 0 =
+	// unbounded); Provenance.Round counts rounds from CampaignStart.
+	Start, Count, CampaignStart int64
+	// Corpus is the lease's own seed pool (required).
+	Corpus *corpus.Corpus
+	// Started, when set, runs once the first slot is handed to the
+	// generate stage. Done, when set, receives the unique findings in
+	// canonical order and the stats digest once the last round has folded
+	// and every finding is reported — never for a lease cut short by
+	// cancellation. Done runs on the goroutine running RunLeases.
+	Started func()
+	Done    func([]Finding, LeaseStats)
+}
+
+// LeaseStats is one lease's outcome digest (observation only).
+type LeaseStats struct {
+	Generated       uint64 `json:"generated"`
+	Crashes         uint64 `json:"crashes"`
+	Miscompilations uint64 `json:"miscompilations"`
+	Mismatches      uint64 `json:"mismatches"`
+	Duplicates      uint64 `json:"duplicates"`
+	ToolErrors      uint64 `json:"tool_errors"`
+	Quarantined     uint64 `json:"quarantined"`
+	ElapsedNs       int64  `json:"elapsed_ns"`
+}
+
 // EngineConfig parameterizes one streaming fuzzing run.
 type EngineConfig struct {
 	// StartSeed is the first generator seed; Seeds is how many to try
-	// (0 = unbounded, run until the context is cancelled).
+	// (0 = unbounded, run until the context is cancelled): Run's lease.
 	StartSeed int64
 	Seeds     int64
 	// Seed is the master schedule seed: it drives the generate-vs-mutate
@@ -276,20 +314,12 @@ type EngineConfig struct {
 	// deterministic SyncInterval-aligned fold points, so the finding set
 	// for a fixed Seed budget is identical across worker counts and
 	// epoch sizes (verdicts are recomputed, never changed, by a fresh
-	// cache). 0 disables rotation (campaign-scale runs).
+	// cache). 0 disables rotation (campaign-scale runs); long-lived
+	// engines — serve mode, fleet workers — use DefaultEpochPrograms.
 	EpochPrograms int
 	// OnEpoch, when set, receives the retiring epoch's snapshot at each
 	// rotation (called from the collector goroutine).
 	OnEpoch func(EpochStats)
-	// PrewarmSeeds is how many of the corpus' top-energy seeds have their
-	// block formulas re-interned into the fresh cache at each epoch
-	// rotation (0 = default 8, negative = disabled). Warming happens at
-	// the fold point, from the collector, so the warmed set is a pure
-	// function of the schedule; it is cost-only (verdicts are recomputed
-	// identically either way) and exists so post-rotation validation
-	// latency doesn't dip while an empty cache re-derives the formulas of
-	// the seeds most likely to be scheduled next.
-	PrewarmSeeds int
 	// QueueDepth bounds each inter-stage channel (0 = 2×Workers).
 	QueueDepth int
 	// OnFinding, when set, streams each unique finding as the report
@@ -325,8 +355,9 @@ type EngineConfig struct {
 	// stage's tool-limitation path.
 	FaultHook func(ctx context.Context, stage string, slot int64) error
 	// KnownFindings pre-seeds the dedup fingerprint sets (the resume
-	// path): a finding whose fingerprint was already reported by an
-	// earlier incarnation is counted as a duplicate and never re-emitted.
+	// path), at the start of every lease: a finding whose fingerprint was
+	// already reported by an earlier incarnation is counted as a duplicate
+	// and never re-emitted.
 	KnownFindings []uint64
 	// OnCheckpoint, when set, is called from the collector goroutine at
 	// fold boundaries — every CheckpointPrograms folded programs, and
@@ -347,6 +378,10 @@ type EngineConfig struct {
 	// corpus.
 	Obs *obs.Registry
 }
+
+// DefaultEpochPrograms is the epoch length of long-lived engines: serve
+// mode (unless -epoch-programs says otherwise) and fleet workers.
+const DefaultEpochPrograms = 4096
 
 // DefaultSyncInterval is the corpus admission round size when
 // EngineConfig.SyncInterval is zero. Exported because the fleet layer's
@@ -654,9 +689,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.ReduceOpts.Parallelism <= 0 {
 		cfg.ReduceOpts.Parallelism = cfg.Workers
 	}
-	if cfg.PrewarmSeeds == 0 {
-		cfg.PrewarmSeeds = 8
-	}
 	if cfg.Cache == nil {
 		if cfg.EpochPrograms > 0 {
 			// A rotating engine owns its context lifecycle from the
@@ -908,18 +940,6 @@ func (e *Engine) rotateEpoch() {
 		baseGatesBuilt: gb, baseGatesReused: gr,
 	})
 	e.retiredMu.Unlock()
-	// Pre-warm the fresh cache with the corpus' top-energy seeds — the
-	// programs the next rounds are most likely to schedule as mutation
-	// bases. Runs synchronously at the fold point (the collector is the
-	// sole corpus mutator, so TopEnergy reads a consistent ranking that is
-	// a pure function of the schedule) and only ever changes cost: a
-	// warmed formula is the one a later miss would compute anyway.
-	if n := e.cfg.PrewarmSeeds; n > 0 {
-		fresh := e.epoch.Load().cache
-		for _, p := range e.corpus.TopEnergy(n) {
-			fresh.Warm(p)
-		}
-	}
 	if e.cfg.OnEpoch != nil {
 		e.cfg.OnEpoch(es)
 	}
@@ -1037,6 +1057,7 @@ func (e *Engine) Stats() Stats {
 // check); the compile stage fills it in otherwise.
 type unit struct {
 	seed    int64
+	lease   *leaseRun
 	prog    *ast.Program
 	res     *compiler.Result
 	prof    *coverage.Profile
@@ -1044,14 +1065,9 @@ type unit struct {
 	// baseID is the corpus seed the program was mutated from (-1 for
 	// fresh generation): the dynamic-energy feedback target.
 	baseID int
-	// skip marks a unit whose generate stage was quarantined: it still
-	// flows to the compile stage so its slot's covRec reaches the
-	// collector (the round-fold barrier counts slots, and a missing
-	// record would deadlock the fold), but no program is compiled.
-	skip bool
 	// prov is the provenance trace under construction: each stage fills
 	// its fields in, and whichever stage produces a finding attaches the
-	// pointer. Nil for skipped units. A unit produces at most one
+	// pointer. A unit produces at most one
 	// finding (crash-family XOR oracle), so the pointer is never shared
 	// between two findings.
 	prov *Provenance
@@ -1063,22 +1079,45 @@ type unit struct {
 // program.
 type task struct {
 	slot        int64
+	lease       *leaseRun
 	mutate      bool
 	base, donor *corpus.Seed
 	rngSeed     int64
 }
 
-// covRec is a compile-stage coverage report flowing to the admission
-// collector: exactly one per scheduled slot that reaches the compile
-// stage (cancellation aside) — including quarantined slots, which report
-// a nil prof that counts the fold but is never admitted. astFP is the
-// profile's fingerprint before pass-trace edges were folded in — the
-// novelty key the mutation pre-filter tests against.
-type covRec struct {
-	slot  int64
-	prog  *ast.Program
-	prof  *coverage.Profile
-	astFP uint64
+// leaseRun is a lease in flight: its place in the run's round sequence
+// and its lease-scoped outcome state.
+type leaseRun struct {
+	Lease
+	round0   int64 // run-wide index of the lease's first round
+	start    time.Time
+	findings []Finding
+	// tally is the stats digest: stage workers bump it with atomic adds,
+	// which all happen before the lease's end marker reaches the report.
+	tally LeaseStats
+}
+
+// record is a slot report flowing to the admission collector. Each
+// scheduled slot sends exactly one coverage report (cancellation aside),
+// including slots that failed before compiling, which report a nil prof
+// that counts the fold but is never admitted. astFP is the profile's
+// fingerprint before pass-trace edges were folded in — the novelty key
+// the mutation pre-filter tests against.
+//
+// Each unit the compile stage forwarded also sends one oracle verdict
+// report (oracle set), quarantined and errored units included, with a
+// nil finding so the barrier still counts them. Oracle findings
+// (miscompilations, mismatches) surface after their own round has
+// already folded, so both their energy and their candidate programs fold
+// one round late — at the next boundary, in canonical slot order —
+// preserving -seed replay and worker-count determinism.
+type record struct {
+	slot   int64
+	lease  *leaseRun
+	oracle bool
+	prog   *ast.Program
+	prof   *coverage.Profile
+	astFP  uint64
 	// baseID is the mutation base's corpus seed ID (-1 = fresh
 	// generation) and crashed whether the program produced a
 	// crash/invalid-transform finding at the compile stage — the two
@@ -1089,26 +1128,11 @@ type covRec struct {
 	// counts these per round so the one-round-late oracle-energy fold
 	// knows when a round's oracle verdicts are complete.
 	toOracle bool
-	// finding carries the slot's crash/invalid-transform candidate, if
-	// any. Candidates ride the coverage record instead of a free-running
-	// channel so the collector can release them in canonical (round,
-	// slot) order — which concrete program represents a deduplicated
-	// fingerprint, and hence the reduced witness bytes, must not depend
-	// on worker interleaving.
-	finding *Finding
-}
-
-// orRec is an oracle-stage verdict report flowing to the admission
-// collector: exactly one per unit the compile stage forwarded to the
-// oracle (cancellation aside), including quarantined and errored units,
-// which report a nil finding so the fold barrier still counts them.
-// Oracle findings (miscompilations, mismatches) surface after their own
-// round has already folded, so both their energy and their candidate
-// programs fold one round late — at the next boundary, in canonical
-// slot order — preserving -seed replay and worker-count determinism.
-type orRec struct {
-	slot    int64
-	baseID  int
+	// finding carries the slot's candidate, if any. Candidates ride the
+	// records instead of a free-running channel so the collector can
+	// release them in canonical (round, slot) order — which concrete
+	// program represents a deduplicated fingerprint, and hence the
+	// reduced witness bytes, must not depend on worker interleaving.
 	finding *Finding
 }
 
@@ -1119,7 +1143,7 @@ type orRec struct {
 // findings fold with their own round's admissions; oracle-stage findings
 // (miscompilations, mismatches) surface after that fold has passed, so
 // they fold one round late, at the next boundary, behind their own
-// completeness barrier (see orRec).
+// completeness barrier (see record).
 const (
 	admissionBump = 0.5
 	findingBump   = 1.0
@@ -1167,7 +1191,7 @@ func (e *Engine) materialize(t task) (*ast.Program, *coverage.Profile, []string,
 				continue
 			}
 			prof := coverage.OfProgram(m)
-			if e.corpus.SeenProgram(prof.Fingerprint()) {
+			if t.lease.Corpus.SeenProgram(prof.Fingerprint()) {
 				e.mutateStale.Add(1)
 				continue
 			}
@@ -1181,9 +1205,27 @@ func (e *Engine) materialize(t task) (*ast.Program, *coverage.Profile, []string,
 
 // Run executes the pipeline until the seed range is exhausted or ctx is
 // cancelled, and returns the unique findings (deduplicated by fingerprint,
-// reduced when enabled). It is safe to poll Stats concurrently; Run itself
-// must not be called twice on one Engine.
+// reduced when enabled). It is the one-lease case of RunLeases: the lease
+// is [StartSeed, StartSeed+Seeds) over the engine's corpus. It is safe to
+// poll Stats concurrently; Run itself must not be called twice on one
+// Engine.
 func (e *Engine) Run(ctx context.Context) []Finding {
+	taken := false
+	return e.RunLeases(ctx, func() (Lease, bool) {
+		ok := !taken
+		taken = true
+		return Lease{Start: e.cfg.StartSeed, Count: e.cfg.Seeds, CampaignStart: e.cfg.StartSeed, Corpus: e.corpus}, ok
+	})
+}
+
+// RunLeases executes the pipeline over a stream of leases. The scheduler
+// calls next whenever it needs more slots, so lease N+1 generates and
+// compiles while lease N's oracle tail and reductions drain. A lease with
+// a Done hook reports through it; the unique findings of leases without
+// one are returned. RunLeases returns once next reports no further lease
+// and every lease taken has completed, or ctx is cancelled. Like Run, it
+// must be called at most once per Engine.
+func (e *Engine) RunLeases(ctx context.Context, next func() (Lease, bool)) []Finding {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	e.startNano.Store(time.Now().UnixNano())
@@ -1209,43 +1251,59 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 	// configuration, independent of worker count and channel interleaving.
 	roundSize := int64(e.cfg.SyncInterval)
 	taskCh := make(chan task, qd)
-	covCh := make(chan covRec, qd)
-	orCh := make(chan orRec, qd)
+	recCh := make(chan record, qd)
 	// foldCh carries "round folded" signals from the collector to the
 	// scheduler. At most one signal is ever outstanding (the scheduler
 	// consumes fold r before emitting round r+1, and fold r+1 cannot
 	// complete before round r+1 is fully emitted), so capacity 1 with a
 	// non-blocking send never drops.
 	foldCh := make(chan struct{}, 1)
+	// The first lease is taken before any stage starts; each later one
+	// once the current lease's last slot is handed on, so it overlaps the
+	// current lease's drain.
+	ls, more := next()
 	go func() {
 		defer close(taskCh)
-		sched := rand.New(rand.NewSource(e.cfg.Seed))
-		for slot, inRound := e.cfg.StartSeed, int64(0); ; slot++ {
-			if e.cfg.Seeds > 0 && slot >= e.cfg.StartSeed+e.cfg.Seeds {
-				return
+		round := int64(0) // run-wide index of the next round to start
+		for ; more; ls, more = next() {
+			l := &leaseRun{Lease: ls, round0: round, start: time.Now()}
+			// A fresh schedule stream per lease keeps each lease a pure
+			// function of the configuration and its own slots (only
+			// mutation draws from it).
+			var sched *rand.Rand
+			if e.cfg.MutateRatio > 0 {
+				sched = rand.New(rand.NewSource(e.cfg.Seed))
 			}
-			if inRound == roundSize {
-				inRound = 0
-				if e.cfg.MutateRatio > 0 {
-					select {
-					case <-foldCh:
-					case <-ctx.Done():
-						return
+			for i := int64(0); l.Count <= 0 || i < l.Count; i++ {
+				if i%roundSize == 0 {
+					if round > 0 && e.cfg.MutateRatio > 0 {
+						select {
+						case <-foldCh:
+						case <-ctx.Done():
+							return
+						}
 					}
+					round++
 				}
-			}
-			inRound++
-			t := task{slot: slot, rngSeed: mix(e.cfg.Seed, slot)}
-			if e.cfg.MutateRatio > 0 && sched.Float64() < e.cfg.MutateRatio {
-				t.base = e.corpus.Select(sched)
-				t.donor = e.corpus.Select(sched)
-				t.mutate = t.base != nil
-			}
-			if !send(ctx, taskCh, t) {
-				return
+				slot := l.Start + i
+				t := task{slot: slot, lease: l, rngSeed: mix(e.cfg.Seed, slot)}
+				if e.cfg.MutateRatio > 0 && sched.Float64() < e.cfg.MutateRatio {
+					t.base = l.Corpus.Select(sched)
+					t.donor = l.Corpus.Select(sched)
+					t.mutate = t.base != nil
+				}
+				if !send(ctx, taskCh, t) {
+					return
+				}
+				if i == 0 && l.Started != nil {
+					l.Started()
+				}
 			}
 		}
 	}()
+	// Yield once, so the first slot is handed on before the stage
+	// workers below spin up.
+	runtime.Gosched()
 
 	// Stage 1b: generate/mutate. Workers materialize tasks — grammar
 	// generation or corpus mutation plus the cheap type-check gate — in
@@ -1257,7 +1315,10 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 		go func() {
 			defer genWG.Done()
 			for t := range taskCh {
-				u := unit{seed: t.slot, baseID: -1}
+				if ctx.Err() != nil {
+					return // draining: start no new program
+				}
+				u := unit{seed: t.slot, lease: t.lease, baseID: -1}
 				var names []string
 				genStart := time.Now()
 				err, fault, cancelled := supervise(ctx, e.cfg.StageTimeout, func() error {
@@ -1280,17 +1341,10 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 				e.generated.Add(1)
 				switch {
 				case fault != nil:
-					// The slot still ships downstream (skip) so its covRec
-					// reaches the fold barrier; only the program is lost.
-					e.quarantine("generate", t.slot, originOf(t.mutate), nil, fault)
-					u = unit{seed: t.slot, baseID: -1, skip: true}
+					e.quarantine(t.lease, "generate", t.slot, originOf(t.mutate), nil, fault)
 				case err != nil:
 					// Injected/stage error: a tool limitation, not a bug.
-					e.compileErrors.Add(1)
-					if e.cfg.OnOracleError != nil {
-						e.cfg.OnOracleError(t.slot, err)
-					}
-					u = unit{seed: t.slot, baseID: -1, skip: true}
+					e.toolError(t.lease, &e.compileErrors, t.slot, err)
 				default:
 					if u.mutated {
 						e.mutated.Add(1)
@@ -1298,13 +1352,19 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 					}
 					u.prov = &Provenance{
 						Slot:       t.slot,
-						Round:      (t.slot - e.cfg.StartSeed) / roundSize,
+						Round:      (t.slot - t.lease.CampaignStart) / roundSize,
 						Origin:     originOf(u.mutated),
 						Mutations:  names,
 						GenerateNs: genElapsed.Nanoseconds(),
 					}
+					if !send(ctx, genCh, u) {
+						return
+					}
+					continue
 				}
-				if !send(ctx, genCh, u) {
+				// The program is lost, but the round-fold barrier counts
+				// slots: the slot's record goes straight to the collector.
+				if !send(ctx, recCh, record{slot: t.slot, lease: t.lease, baseID: -1}) {
 					return
 				}
 			}
@@ -1335,67 +1395,72 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 				live = false // cancelled: stop releasing, keep folding
 			}
 		}
-		expected := func(round int64) int64 {
-			if e.cfg.Seeds <= 0 {
-				return roundSize
-			}
-			rem := e.cfg.Seeds - round*roundSize
-			if rem > roundSize {
-				return roundSize
-			}
-			return rem
-		}
-		pending := map[int64][]covRec{}
+		pending := map[int64][]record{}
 		// One-round-late oracle energy: round r's admission fold also
 		// requires round r-1's oracle verdicts (counted at r-1's own fold
 		// via toOracle) to be complete, and applies their finding bumps —
-		// slot-sorted — before r's admissions. Oracle verdicts of the very
-		// last round have no following fold and are dropped; that too is a
-		// pure function of the schedule.
-		pendingOr := map[int64][]orRec{}
+		// slot-sorted — before r's admissions. Oracle verdicts of a lease's
+		// last round have no following fold in the lease and their energy
+		// is dropped; that too is a pure function of the schedule.
+		pendingOr := map[int64][]record{}
 		oracleExpected := map[int64]int{}
+		oracleIn := func(round int64) bool {
+			exp, folded := oracleExpected[round]
+			return folded && len(pendingOr[round]) >= exp
+		}
+		releaseOracle := func(round int64, bump bool) {
+			ors := pendingOr[round]
+			delete(pendingOr, round)
+			delete(oracleExpected, round)
+			sort.Slice(ors, func(i, j int) bool { return ors[i].slot < ors[j].slot })
+			for _, o := range ors {
+				if bump && o.finding != nil && o.baseID >= 0 {
+					o.lease.Corpus.BumpEnergy(o.baseID, findingBump)
+				}
+				release(o.finding)
+			}
+		}
 		next := int64(0)
+		// closing is the lease whose last round (next-1) has folded and
+		// whose end marker is still to be released.
+		var closing *leaseRun
 		lastCheckpoint := uint64(0)
-		covIn, orIn := covCh, orCh
-		for covIn != nil || orIn != nil {
-			select {
-			case rec, ok := <-covIn:
-				if !ok {
-					covIn = nil
-					continue
-				}
-				round := (rec.slot - e.cfg.StartSeed) / roundSize
-				pending[round] = append(pending[round], rec)
-			case rec, ok := <-orIn:
-				if !ok {
-					orIn = nil
-					continue
-				}
-				round := (rec.slot - e.cfg.StartSeed) / roundSize
+		for rec := range recCh {
+			round := rec.lease.round0 + (rec.slot-rec.lease.Start)/roundSize
+			if rec.oracle {
 				pendingOr[round] = append(pendingOr[round], rec)
+			} else {
+				pending[round] = append(pending[round], rec)
 			}
 			for {
-				exp := expected(next)
-				if exp <= 0 || int64(len(pending[next])) < exp {
-					break
-				}
-				if next > 0 {
-					oexp, folded := oracleExpected[next-1]
-					if !folded || len(pendingOr[next-1]) < oexp {
-						break // previous round's oracle verdicts still in flight
+				if closing != nil {
+					if !oracleIn(next - 1) {
+						break // the lease's last oracle verdicts still in flight
 					}
-					ors := pendingOr[next-1]
-					delete(pendingOr, next-1)
-					delete(oracleExpected, next-1)
-					sort.Slice(ors, func(i, j int) bool { return ors[i].slot < ors[j].slot })
-					for _, o := range ors {
-						if o.finding != nil && o.baseID >= 0 {
-							e.corpus.BumpEnergy(o.baseID, findingBump)
-						}
-						release(o.finding)
-					}
+					// The lease is complete: its last candidates, then its
+					// end marker, ahead of anything from the next lease.
+					releaseOracle(next-1, false)
+					release(&Finding{lease: closing, end: true})
+					closing = nil
 				}
 				recs := pending[next]
+				if len(recs) == 0 {
+					break
+				}
+				l := recs[0].lease
+				exp, last := l.Count-(next-l.round0)*roundSize, true
+				if l.Count <= 0 || exp > roundSize {
+					exp, last = roundSize, false
+				}
+				if int64(len(recs)) < exp {
+					break
+				}
+				if next > l.round0 {
+					if !oracleIn(next - 1) {
+						break // previous round's oracle verdicts still in flight
+					}
+					releaseOracle(next-1, true)
+				}
 				delete(pending, next)
 				sort.Slice(recs, func(i, j int) bool { return recs[i].slot < recs[j].slot })
 				nOracle := 0
@@ -1409,8 +1474,8 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 						// record exists only to count the fold.
 						continue
 					}
-					e.corpus.RecordProgram(rc.astFP)
-					admitted := e.corpus.Add(rc.prog, rc.prof)
+					l.Corpus.RecordProgram(rc.astFP)
+					admitted := l.Corpus.Add(rc.prog, rc.prof)
 					// Dynamic energy: reward the mutation base whose
 					// mutant earned admission or found a compile-stage
 					// bug — folded here, in canonical slot order, so
@@ -1423,7 +1488,7 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 						if rc.crashed {
 							bump += findingBump
 						}
-						e.corpus.BumpEnergy(rc.baseID, bump)
+						l.Corpus.BumpEnergy(rc.baseID, bump)
 					}
 				}
 				e.programsFolded.Add(uint64(len(recs)))
@@ -1431,6 +1496,9 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 				// a scheduling decision.
 				e.lastFoldNano.Store(time.Now().UnixNano())
 				oracleExpected[next] = nOracle
+				if last {
+					closing = l
+				}
 				next++
 				// Epoch rotation shares the admission fold's
 				// determinism: it fires at the first fold boundary at or
@@ -1465,28 +1533,17 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 				}
 			}
 		}
-		// Tail release: the final folded round's oracle verdicts arrive
-		// after its fold has passed and no later fold exists, so their
-		// energy is dropped (a pure function of the schedule) — but their
-		// candidates must still surface. Release them in (round, slot)
-		// order, folded rounds only: an unfolded round sits above the
-		// checkpoint watermark and is reprocessed on resume, so dropping
-		// its partial candidates keeps bounded runs deterministic.
-		var tail []int64
-		for round := range pendingOr {
+		// Tail release, reached by cancelled runs only: the oracle
+		// candidates that did arrive for folded rounds still surface, in
+		// (round, slot) order. An unfolded round sits above the checkpoint
+		// watermark and is reprocessed on resume, so dropping its partial
+		// candidates keeps bounded runs deterministic.
+		for _, round := range slices.Sorted(maps.Keys(pendingOr)) {
 			if round < next {
-				tail = append(tail, round)
+				releaseOracle(round, false)
 			}
 		}
-		sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
-		for _, round := range tail {
-			ors := pendingOr[round]
-			sort.Slice(ors, func(i, j int) bool { return ors[i].slot < ors[j].slot })
-			for _, o := range ors {
-				release(o.finding)
-			}
-		}
-		// Shutdown checkpoint: covCh is closed, so every fold that will
+		// Shutdown checkpoint: recCh is closed, so every fold that will
 		// happen has happened and the watermark is final. A graceful
 		// drain thus resumes exactly where it stopped; only a hard kill
 		// falls back to the last periodic checkpoint and reprocesses the
@@ -1510,14 +1567,6 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 		go func() {
 			defer compWG.Done()
 			for u := range genCh {
-				if u.skip {
-					// Quarantined upstream: the slot's covRec still counts
-					// the fold, with nothing to admit.
-					if !send(ctx, covCh, covRec{slot: u.seed, baseID: -1}) {
-						return
-					}
-					continue
-				}
 				var out Outcome
 				var prof *coverage.Profile
 				var astFP uint64
@@ -1550,22 +1599,20 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 					m.stageDur[stageCompile].ObserveShard(w, compElapsed)
 				}
 				if fault != nil {
-					e.quarantine("compile", u.seed, originOf(u.mutated), u.prog, fault)
-					if !send(ctx, covCh, covRec{slot: u.seed, baseID: -1}) {
+					e.quarantine(u.lease, "compile", u.seed, originOf(u.mutated), u.prog, fault)
+					if !send(ctx, recCh, record{slot: u.seed, lease: u.lease, baseID: -1}) {
 						return
 					}
 					continue
 				}
-				if u.prov != nil {
-					u.prov.CompileNs = compElapsed.Nanoseconds()
-				}
+				u.prov.CompileNs = compElapsed.Nanoseconds()
 				if err != nil {
 					// fn returns out.Err, so this only rewrites it when the
 					// error was injected before compilation produced one.
 					out.Err = err
 				}
-				rec := covRec{
-					slot: u.seed, prog: u.prog, prof: prof, astFP: astFP,
+				rec := record{
+					slot: u.seed, lease: u.lease, prog: u.prog, prof: prof, astFP: astFP,
 					baseID:   u.baseID,
 					crashed:  out.Crash != nil || out.Invalid != nil,
 					toOracle: out.Err == nil && out.Crash == nil && out.Invalid == nil,
@@ -1576,8 +1623,9 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 				switch {
 				case out.Crash != nil:
 					e.crashes.Add(1)
+					atomic.AddUint64(&u.lease.tally.Crashes, 1)
 					rec.finding = &Finding{
-						Kind: FindingCrash, Seed: u.seed, Backend: e.cfg.Backend.String(),
+						Kind: FindingCrash, Seed: u.seed, Backend: e.cfg.Backend.String(), lease: u.lease,
 						Pass:       out.Crash.Pass,
 						Detail:     fmt.Sprintf("crash in %s: %s", out.Crash.Pass, out.Crash.Msg),
 						Origin:     originOf(u.mutated),
@@ -1588,7 +1636,7 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 				case out.Invalid != nil:
 					e.invalids.Add(1)
 					rec.finding = &Finding{
-						Kind: FindingInvalidTransform, Seed: u.seed, Backend: e.cfg.Backend.String(),
+						Kind: FindingInvalidTransform, Seed: u.seed, Backend: e.cfg.Backend.String(), lease: u.lease,
 						Pass:       out.Invalid.Pass,
 						Detail:     out.Invalid.Error(),
 						Origin:     originOf(u.mutated),
@@ -1597,17 +1645,14 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 						crashMsg:   out.Invalid.Error(),
 					}
 				}
-				if !send(ctx, covCh, rec) {
+				if !send(ctx, recCh, rec) {
 					return
 				}
 				switch {
 				case out.Err != nil:
-					e.compileErrors.Add(1)
-					if e.cfg.OnOracleError != nil {
-						e.cfg.OnOracleError(u.seed, out.Err)
-					}
+					e.toolError(u.lease, &e.compileErrors, u.seed, out.Err)
 				case out.Crash != nil, out.Invalid != nil:
-					// The candidate travelled with the covRec above.
+					// The candidate travelled with the record above.
 				default:
 					e.compiled.Add(1)
 					u.res = out.Result
@@ -1618,7 +1663,7 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 			}
 		}()
 	}
-	go func() { compWG.Wait(); close(compCh); close(covCh) }()
+	go func() { compWG.Wait(); close(compCh) }()
 
 	// Stage 3: oracle (translation validation + packet tests).
 	var oracleWG sync.WaitGroup
@@ -1660,7 +1705,7 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 				if m := e.metrics; m != nil {
 					m.stageDur[stageOracle].ObserveShard(w, oracleElapsed)
 				}
-				// Every unit reports exactly one orRec — finding or not,
+				// Every unit reports exactly one oracle record — finding or not,
 				// quarantined or not — so the collector's one-round-late
 				// energy barrier can count a round's oracle verdicts
 				// complete. Candidates ride the record and are released by
@@ -1670,8 +1715,8 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 					// Do not touch out: an abandoned (stalled) invocation
 					// may still be writing it. Quarantine on the unit's
 					// identity alone.
-					e.quarantine("oracle", u.seed, originOf(u.mutated), u.prog, fault)
-					if !send(ctx, orCh, orRec{slot: u.seed, baseID: u.baseID}) {
+					e.quarantine(u.lease, "oracle", u.seed, originOf(u.mutated), u.prog, fault)
+					if !send(ctx, recCh, record{slot: u.seed, lease: u.lease, oracle: true, baseID: u.baseID}) {
 						return
 					}
 					continue
@@ -1679,10 +1724,8 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 				if err != nil {
 					out = Outcome{Result: u.res, Err: err}
 				}
-				if u.prov != nil {
-					u.prov.OracleNs = oracleElapsed.Nanoseconds()
-					u.prov.QueryTiers = tiers
-				}
+				u.prov.OracleNs = oracleElapsed.Nanoseconds()
+				u.prov.QueryTiers = tiers
 				if out.Unknowns > 0 {
 					e.unknownVerdicts.Add(uint64(out.Unknowns))
 				}
@@ -1694,16 +1737,17 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 					// The escalation ladder bottomed out: an explicit
 					// weakened verdict, quarantined for offline triage.
 					e.timeouts.Add(1)
-					e.quarantineTimeout(u.seed, originOf(u.mutated), u.prog)
+					e.quarantineTimeout(u.lease, u.seed, originOf(u.mutated), u.prog)
 				case out.Err != nil:
 					if ctx.Err() != nil {
 						return
 					}
-					e.oracleError(u.seed, out.Err)
+					e.toolError(u.lease, &e.oracleErrors, u.seed, out.Err)
 				case len(out.Failures) > 0:
 					e.miscompiles.Add(1)
+					atomic.AddUint64(&u.lease.tally.Miscompilations, 1)
 					cand = &Finding{
-						Kind: FindingMiscompilation, Seed: u.seed, Backend: e.cfg.Backend.String(),
+						Kind: FindingMiscompilation, Seed: u.seed, Backend: e.cfg.Backend.String(), lease: u.lease,
 						Pass:       out.Failures[0].PassB,
 						Detail:     out.Failures[0].String(),
 						Origin:     originOf(u.mutated),
@@ -1713,8 +1757,9 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 					}
 				case len(out.Mismatches) > 0:
 					e.mismatches.Add(1)
+					atomic.AddUint64(&u.lease.tally.Mismatches, 1)
 					cand = &Finding{
-						Kind: FindingMismatch, Seed: u.seed, Backend: e.cfg.Backend.String(),
+						Kind: FindingMismatch, Seed: u.seed, Backend: e.cfg.Backend.String(), lease: u.lease,
 						Detail:     out.Mismatches[0],
 						Origin:     originOf(u.mutated),
 						Program:    u.prog,
@@ -1727,13 +1772,22 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 				default:
 					e.clean.Add(1)
 				}
-				if !send(ctx, orCh, orRec{slot: u.seed, baseID: u.baseID, finding: cand}) {
+				if !send(ctx, recCh, record{slot: u.seed, lease: u.lease, oracle: true, baseID: u.baseID, finding: cand}) {
 					return
 				}
 			}
 		}()
 	}
-	go func() { compWG.Wait(); oracleWG.Wait(); close(orCh) }()
+	go func() { compWG.Wait(); oracleWG.Wait(); close(recCh) }()
+
+	// known seeds each lease's dedup sets (the resume path).
+	known := func() map[uint64]bool {
+		seen := make(map[uint64]bool, len(e.cfg.KnownFindings))
+		for _, fp := range e.cfg.KnownFindings {
+			seen[fp] = true
+		}
+		return seen
+	}
 
 	// Stage 4: fingerprint/dedup. Crash-family findings have stable
 	// fingerprints before reduction, so duplicates are dropped here and
@@ -1748,15 +1802,21 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 	// findings after parallel reduction scrambles completion order.
 	go func() {
 		defer close(redCh)
-		seen := map[uint64]bool{}
-		for _, fp := range e.cfg.KnownFindings {
-			// Resume path: crash-family findings an earlier incarnation
-			// already reported dedup here, before the reducer.
-			seen[fp] = true
-		}
-		perPass := map[string]int{}
+		seen, perPass := known(), map[string]int{}
 		order := int64(0)
 		for f := range candCh {
+			if f.end {
+				// Lease boundary: crash dedup and the per-pass reduction
+				// caps are lease-scoped. The marker skips the reducers;
+				// its stamp alone sequences it behind its lease's findings.
+				seen, perPass = known(), map[string]int{}
+				f.order = order
+				order++
+				if !send(ctx, outCh, f) {
+					return
+				}
+				continue
+			}
 			var dedupStart time.Time
 			if e.metrics != nil {
 				dedupStart = time.Now()
@@ -1784,6 +1844,7 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 			}
 			if dup {
 				e.duplicates.Add(1)
+				atomic.AddUint64(&f.lease.tally.Duplicates, 1)
 				continue
 			}
 			f.order = order
@@ -1826,9 +1887,9 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 					// its input, so f.Program is intact even after an
 					// abandoned stall) and quarantine the fault.
 					if fault != nil {
-						e.quarantine("reduce", f.Seed, f.Origin, f.Program, fault)
+						e.quarantine(f.lease, "reduce", f.Seed, f.Origin, f.Program, fault)
 					} else {
-						e.oracleError(f.Seed, err)
+						e.toolError(f.lease, &e.oracleErrors, f.Seed, err)
 					}
 					if f.Program != nil {
 						out.SizeBefore = reduce.Size(f.Program)
@@ -1848,20 +1909,28 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 	// complete in whatever order their reductions finish; re-sequencing
 	// by the dedup stamp makes the final dedup — and the report/journal
 	// order — deterministic again. The buffer is bounded by the number of
-	// findings in flight through the reducer pool.
+	// findings in flight through the reducer pool. A lease's end marker
+	// arrives in sequence after its last finding: the lease is complete.
 	var findings []Finding
-	seen := map[uint64]bool{}
-	for _, fp := range e.cfg.KnownFindings {
-		// Resume path: a finding journaled before the crash is a
-		// duplicate here, so a resumed daemon never re-reports it.
-		seen[fp] = true
-	}
+	seen := known()
 	report := func(f Finding) {
+		l := f.lease
+		if f.end {
+			if l.Done != nil && ctx.Err() == nil {
+				st := l.tally
+				st.Generated = uint64(l.Count) // every slot of a completed lease
+				st.ElapsedNs = time.Since(l.start).Nanoseconds()
+				l.Done(l.findings, st)
+			}
+			seen = known()
+			return
+		}
 		if f.Kind == FindingMiscompilation || f.Kind == FindingMismatch {
 			f.Fingerprint = semanticFingerprint(f.Kind, f.Pass, f.Program)
 		}
 		if seen[f.Fingerprint] {
 			e.duplicates.Add(1)
+			atomic.AddUint64(&l.tally.Duplicates, 1)
 			return
 		}
 		seen[f.Fingerprint] = true
@@ -1872,7 +1941,11 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 		if e.cfg.OnFinding != nil {
 			e.cfg.OnFinding(f)
 		}
-		findings = append(findings, f)
+		if l.Done != nil {
+			l.findings = append(l.findings, f)
+		} else {
+			findings = append(findings, f)
+		}
 	}
 	reorder := map[int64]Finding{}
 	nextOrder := int64(0)
@@ -1906,8 +1979,11 @@ func send[T any](ctx context.Context, ch chan<- T, v T) bool {
 	}
 }
 
-func (e *Engine) oracleError(seed int64, err error) {
-	e.oracleErrors.Add(1)
+// toolError counts one tool limitation (a compile- or oracle-stage error,
+// not a bug) in the engine and lease tallies and reports it.
+func (e *Engine) toolError(l *leaseRun, counter *atomic.Uint64, seed int64, err error) {
+	counter.Add(1)
+	atomic.AddUint64(&l.tally.ToolErrors, 1)
 	if e.cfg.OnOracleError != nil {
 		e.cfg.OnOracleError(seed, err)
 	}

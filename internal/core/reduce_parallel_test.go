@@ -125,28 +125,3 @@ func TestEngineOracleEnergyDeterminism(t *testing.T) {
 		t.Errorf("miscompilation count differs across worker counts: %d vs %d", m1, m8)
 	}
 }
-
-// TestEnginePrewarmInvariance: epoch-cache pre-warming is cost-only. The
-// finding set for a rotating run must be identical with warming disabled,
-// at the default width, and warming the whole corpus.
-func TestEnginePrewarmInvariance(t *testing.T) {
-	run := func(prewarm int) []string {
-		cfg := buggyEngineConfig(t, 24, 4, "P4C-C-04", "P4C-S-02")
-		cfg.Seed = 11
-		cfg.MutateRatio = 0.5
-		cfg.SyncInterval = 8
-		cfg.EpochPrograms = 8
-		cfg.PrewarmSeeds = prewarm
-		return fingerprintSet(core.NewEngine(cfg).Run(context.Background()))
-	}
-	ref := run(-1) // disabled
-	if len(ref) == 0 {
-		t.Fatal("no findings: the seeded defects should fire within 24 seeds")
-	}
-	for _, prewarm := range []int{8, 64} {
-		if got := run(prewarm); strings.Join(got, "\n") != strings.Join(ref, "\n") {
-			t.Errorf("finding set differs with PrewarmSeeds=%d:\nref:\n  %s\ngot:\n  %s",
-				prewarm, strings.Join(ref, "\n  "), strings.Join(got, "\n  "))
-		}
-	}
-}

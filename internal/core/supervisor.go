@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"sync/atomic"
 	"time"
 
 	"gauntlet/internal/p4/ast"
@@ -123,8 +124,9 @@ func safePrint(prog *ast.Program) (src string) {
 // quarantine accounts one contained fault and hands the record to the
 // configured sink (called from the faulting stage's worker goroutine; the
 // sink must be concurrency-safe).
-func (e *Engine) quarantine(stage string, seed int64, origin string, prog *ast.Program, f *stageFault) {
+func (e *Engine) quarantine(l *leaseRun, stage string, seed int64, origin string, prog *ast.Program, f *stageFault) {
 	e.quarantined.Add(1)
+	atomic.AddUint64(&l.tally.Quarantined, 1)
 	if f.kind == "stall" {
 		e.stalls.Add(1)
 	}
@@ -145,8 +147,8 @@ func (e *Engine) quarantine(stage string, seed int64, origin string, prog *ast.P
 // quarantineTimeout accounts an oracle that exhausted its escalation
 // ladder (full verdict → doubled-budget retry → Unknown) as a quarantine
 // of kind "timeout".
-func (e *Engine) quarantineTimeout(seed int64, origin string, prog *ast.Program) {
-	e.quarantine("oracle", seed, origin, prog, &stageFault{
+func (e *Engine) quarantineTimeout(l *leaseRun, seed int64, origin string, prog *ast.Program) {
+	e.quarantine(l, "oracle", seed, origin, prog, &stageFault{
 		kind:    "timeout",
 		symptom: fmt.Sprintf("oracle exceeded %v wall-clock budget twice (retry at 2x included)", e.oracle.Timeout),
 	})

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -60,16 +61,16 @@ type CoordinatorConfig struct {
 
 // FleetStatus is the /statusz fleet section.
 type FleetStatus struct {
-	Workers        int64       `json:"workers"`
-	LeasesTotal    int64       `json:"leases_total"`
-	LeasesReleased int64       `json:"leases_released"`
-	LeasesInflight int64       `json:"leases_inflight"`
-	LeasesReissued uint64      `json:"leases_reissued"`
-	WatermarkSlot  int64       `json:"watermark_slot"`
-	Findings       uint64      `json:"findings"`
-	Duplicates     uint64      `json:"duplicates"`
-	LastRelease    time.Time   `json:"last_release"`
-	Totals         ResultStats `json:"totals"`
+	Workers        int64           `json:"workers"`
+	LeasesTotal    int64           `json:"leases_total"`
+	LeasesReleased int64           `json:"leases_released"`
+	LeasesInflight int64           `json:"leases_inflight"`
+	LeasesReissued uint64          `json:"leases_reissued"`
+	WatermarkSlot  int64           `json:"watermark_slot"`
+	Findings       uint64          `json:"findings"`
+	Duplicates     uint64          `json:"duplicates"`
+	LastRelease    time.Time       `json:"last_release"`
+	Totals         core.LeaseStats `json:"totals"`
 }
 
 // Coordinator shards one bounded campaign into leases, merges results in
@@ -88,7 +89,7 @@ type Coordinator struct {
 	dedup      map[uint64]struct{}
 	findings   []core.Finding
 	duplicates uint64
-	totals     ResultStats
+	totals     core.LeaseStats
 	relErr     error
 
 	workers     atomic.Int64
@@ -279,9 +280,14 @@ func (c *Coordinator) background(ctx context.Context) func() {
 // HandleConn speaks the protocol with one worker connection: hello →
 // config, then leases and results until drain or connection loss. Any
 // lease the connection holds when it dies returns to pending.
+//
+// A need that must wait for a lease is answered off the read loop: the
+// wait may be on leases in flight on this very worker, whose results
+// must still be read.
 func (c *Coordinator) HandleConn(ctx context.Context, conn io.ReadWriteCloser) error {
 	defer conn.Close()
-	env, err := readMsg(conn)
+	in := bufio.NewReader(conn)
+	env, err := readMsg(in)
 	if err != nil {
 		return fmt.Errorf("fleet: hello: %w", err)
 	}
@@ -306,58 +312,52 @@ func (c *Coordinator) HandleConn(ctx context.Context, conn io.ReadWriteCloser) e
 		return err
 	}
 	c.cfg.Logf("fleet: worker %s connected", holder)
+	// grant answers a need, unless block is false and it would wait.
+	grant := func(block bool) bool {
+		lease, ok, waiting := c.table.acquire(holder, block)
+		switch {
+		case waiting:
+			return false
+		case !ok:
+			// Drain ends the conversation: closing unblocks the read loop.
+			writeMsg(conn, &Envelope{Type: MsgDrain})
+			conn.Close()
+		case writeMsg(conn, &Envelope{Type: MsgLease, Lease: &lease}) != nil:
+			conn.Close() // the read loop fails too, and fail() re-pends the lease
+		}
+		return true
+	}
 	for {
-		env, err := readMsg(conn)
+		env, err := readMsg(in)
 		if err != nil {
 			select {
 			case <-c.done:
 				return nil // campaign complete; the teardown races are benign
+			case <-ctx.Done():
+				return nil // shutdown: the lease table drained this connection
 			default:
 			}
 			return err
 		}
 		switch env.Type {
 		case MsgNeed:
-			lease, ok := c.table.acquire(holder)
-			if !ok {
-				return writeMsg(conn, &Envelope{Type: MsgDrain})
-			}
-			if err := writeMsg(conn, &Envelope{Type: MsgLease, Lease: &lease}); err != nil {
-				return err
+			if !grant(false) {
+				go grant(true)
 			}
 		case MsgResult:
 			if env.Result == nil {
 				return fmt.Errorf("fleet: result frame without payload")
 			}
-			accepted, latency := c.completeLease(env.Result)
-			if accepted {
-				c.leaseLatency(env.Result.Worker, latency)
+			// Duplicates (an expired lease finishing twice) are dropped —
+			// results are deterministic, so both copies are identical.
+			if issuedAt, ok := c.table.complete(env.Result); ok && !issuedAt.IsZero() {
+				c.leaseLatency(env.Result.Worker, time.Since(issuedAt))
 			}
 			c.release()
 		default:
 			return fmt.Errorf("fleet: unexpected %q from worker", env.Type)
 		}
 	}
-}
-
-// completeLease records a result and measures its issue-to-result
-// latency. Duplicates (an expired lease finishing twice) are dropped —
-// results are deterministic, so both copies are identical.
-func (c *Coordinator) completeLease(res *Result) (bool, time.Duration) {
-	c.table.mu.Lock()
-	var issuedAt time.Time
-	if id := res.LeaseID; id >= 0 && id < c.table.total() {
-		issuedAt = c.table.issued[id]
-	}
-	c.table.mu.Unlock()
-	if !c.table.complete(res) {
-		return false, 0
-	}
-	latency := time.Duration(0)
-	if !issuedAt.IsZero() {
-		latency = time.Since(issuedAt)
-	}
-	return true, latency
 }
 
 // release processes the contiguous run of completed leases at the

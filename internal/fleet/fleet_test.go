@@ -10,7 +10,7 @@ import (
 	"gauntlet/internal/core"
 	"gauntlet/internal/corpus"
 	"gauntlet/internal/obs"
-	"gauntlet/internal/validate"
+	"gauntlet/internal/smt"
 )
 
 // testRun is the defect-seeded fleet campaign configuration the tests
@@ -35,13 +35,14 @@ func testRun() RunConfig {
 // as one lease spanning the whole budget.
 func directRun(t *testing.T, run RunConfig, seeds int64) ([]core.Finding, *corpus.Corpus) {
 	t.Helper()
-	cfg, crp, err := engineConfigForLease(&run, Lease{ID: 0, Start: 0, Count: seeds}, validate.NewCache())
+	cfg, err := EngineConfig(&run)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Seeds = seeds
 	e := core.NewEngine(cfg)
 	fs := e.Run(context.Background())
-	return fs, crp
+	return fs, e.Corpus()
 }
 
 // findingKey renders every determinism-bearing field of a finding —
@@ -192,5 +193,55 @@ func TestFleetStallHealth(t *testing.T) {
 	time.Sleep(30 * time.Millisecond)
 	if err := coord.Health(); err == nil {
 		t.Fatal("stalled coordinator reports healthy")
+	}
+}
+
+// TestFleetInvarianceAcrossLeases: the invariance contract when findings
+// land in several leases. Slot 16 is round 2 of the campaign (sync
+// interval 8) but round 0 of its lease, so a worker that counted rounds
+// from its lease's first slot would report provenance the single process
+// never does.
+func TestFleetInvarianceAcrossLeases(t *testing.T) {
+	run := testRun()
+	run.Defects = []string{"P4C-S-02", "P4C-S-06"}
+	run.Reduce = false // unreduced witnesses do not collapse: findings in every lease
+	const seeds, leaseSlots = 48, 16
+	want, _ := directRun(t, run, seeds)
+	leases := map[int64]bool{}
+	for _, f := range want {
+		leases[f.Seed/leaseSlots] = true
+	}
+	if len(leases) < 2 {
+		t.Fatalf("findings land in %d lease(s); the case needs several", len(leases))
+	}
+	for _, n := range []int{1, 2} {
+		coord, err := NewCoordinator(CoordinatorConfig{Run: run, Seeds: seeds, LeaseSlots: leaseSlots})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := RunLocal(context.Background(), coord, localWorkers(n)); err != nil {
+			t.Fatalf("workers=%d: %v", n, err)
+		}
+		diffFindings(t, fmt.Sprintf("workers=%d", n), want, coord.Findings())
+	}
+}
+
+// TestWorkerKeepsDefaultContextClean: a fleet worker's engine interns
+// every term in its own rotating context, never in the immortal
+// package-default one, so its memory is bounded however many leases it
+// runs (the fleet twin of core's TestEngineRotationKeepsDefaultContextClean).
+func TestWorkerKeepsDefaultContextClean(t *testing.T) {
+	run := testRun()
+	run.Defects = nil
+	coord, err := NewCoordinator(CoordinatorConfig{Run: run, Seeds: 64, LeaseSlots: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := smt.InternerStats().Entries
+	if err := RunLocal(context.Background(), coord, localWorkers(1)); err != nil {
+		t.Fatal(err)
+	}
+	if after := smt.InternerStats().Entries; after != before {
+		t.Errorf("fleet worker interned %d terms into the immortal default context", after-before)
 	}
 }

@@ -35,6 +35,7 @@ type leaseTable struct {
 	released int64 // first lease ID not yet released (== the watermark lease)
 	reissued uint64
 	closed   bool
+	gone     map[string]bool // failed holders, refused any further lease
 }
 
 // newLeaseTable partitions [start, start+seeds) into leases of leaseSlots
@@ -44,14 +45,14 @@ type leaseTable struct {
 // lease rounds down: the partial lease re-runs whole (at-least-once), and
 // the journal-seeded dedup absorbs the replay.
 func newLeaseTable(start, seeds, leaseSlots, resumeWatermark int64) *leaseTable {
-	t := &leaseTable{}
+	t := &leaseTable{gone: map[string]bool{}}
 	t.cond = sync.NewCond(&t.mu)
 	for id, slot := int64(0), start; slot < start+seeds; id, slot = id+1, slot+leaseSlots {
 		count := leaseSlots
 		if rem := start + seeds - slot; rem < count {
 			count = rem
 		}
-		t.leases = append(t.leases, Lease{ID: id, Start: slot, Count: count})
+		t.leases = append(t.leases, Lease{ID: id, Start: slot, Count: count, CampaignStart: start})
 		t.status = append(t.status, leasePending)
 		t.issued = append(t.issued, time.Time{})
 		t.holder = append(t.holder, "")
@@ -70,22 +71,26 @@ func (t *leaseTable) total() int64 { return int64(len(t.leases)) }
 
 // acquire blocks until a pending lease is available (returning the
 // lowest-ID one, so re-issues and watermark progress come first) or the
-// campaign is finished or closed (ok = false). worker is recorded for
-// observability.
-func (t *leaseTable) acquire(worker string) (Lease, bool) {
+// campaign is finished or closed, or worker has failed (ok = false).
+// worker is the lease holder key. With block false it never waits,
+// reporting waiting = true instead.
+func (t *leaseTable) acquire(worker string, block bool) (lease Lease, ok, waiting bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
-		if t.closed || t.released >= t.total() {
-			return Lease{}, false
+		if t.closed || t.released >= t.total() || t.gone[worker] {
+			return Lease{}, false, false
 		}
 		for id := t.released; id < t.total(); id++ {
 			if t.status[id] == leasePending {
 				t.status[id] = leaseIssued
 				t.issued[id] = time.Now()
 				t.holder[id] = worker
-				return t.leases[id], true
+				return t.leases[id], true, false
 			}
+		}
+		if !block {
+			return Lease{}, false, true
 		}
 		t.cond.Wait()
 	}
@@ -94,18 +99,19 @@ func (t *leaseTable) acquire(worker string) (Lease, bool) {
 // complete records a lease result. The first result wins; a duplicate —
 // an expired-and-re-issued lease finishing twice — is dropped, which is
 // safe because lease results are deterministic: both copies carry
-// identical bytes. Returns whether the result was accepted.
-func (t *leaseTable) complete(res *Result) bool {
+// identical bytes. Returns the lease's latest issue time and whether the
+// result was accepted.
+func (t *leaseTable) complete(res *Result) (time.Time, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	id := res.LeaseID
 	if id < 0 || id >= t.total() || t.status[id] == leaseDone || t.status[id] == leaseReleased {
-		return false
+		return time.Time{}, false
 	}
 	t.status[id] = leaseDone
 	t.results[id] = res
 	t.cond.Broadcast()
-	return true
+	return t.issued[id], true
 }
 
 // releasable pops the contiguous run of completed leases at the
@@ -158,10 +164,13 @@ func (t *leaseTable) expire(deadline time.Time) int {
 
 // fail returns every lease issued to worker to the pending state — the
 // connection-loss path, which beats the expiry clock when the TCP layer
-// notices first.
+// notices first — and wakes the worker's own blocked acquire, if any,
+// with ok = false.
 func (t *leaseTable) fail(worker string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.gone[worker] = true
+	t.cond.Broadcast()
 	n := 0
 	for id := t.released; id < t.total(); id++ {
 		if t.status[id] == leaseIssued && t.holder[id] == worker {
@@ -170,9 +179,6 @@ func (t *leaseTable) fail(worker string) int {
 			t.reissued++
 			n++
 		}
-	}
-	if n > 0 {
-		t.cond.Broadcast()
 	}
 	return n
 }

@@ -1,21 +1,23 @@
 // Package fleet scales the single-process fuzzing engine across process
 // boundaries without giving up its determinism contract: a coordinator
 // shards the master seed stream into bounded, watermarked work leases and
-// N workers each run an unmodified core.Engine over their lease, speaking
-// a minimal length-prefixed JSON protocol over TCP or unix sockets
-// (stdlib only).
+// N workers each run one long-lived core.Engine over the stream of leases
+// they are granted (Engine.RunLeases), speaking a minimal length-prefixed
+// JSON protocol over TCP or unix sockets (stdlib only).
 //
 // The design is the engine's own discipline — isolate first, then share —
-// lifted one level: workers share nothing while a lease runs, and every
-// cross-process merge happens at one deterministic point, in one
-// canonical order. Three facts make the fleet finding set, witness bytes
-// and report order identical to the single-process run for a fixed seed
-// budget, at any worker count:
+// lifted one level: leases share nothing but the epoch's solver context
+// and validation cache (cost, never verdicts), and every cross-process
+// merge happens at one deterministic point, in one canonical order. Three
+// facts make the fleet finding set, witness bytes and report order
+// identical to the single-process run for a fixed seed budget, at any
+// worker count:
 //
 //  1. Fleet runs are pure-generation (MutateRatio = 0 — the coordinator
 //     refuses otherwise), so every slot's program is a pure function of
 //     its seed and a lease needs no cross-lease corpus state to replay
-//     its slots exactly as the single process would.
+//     its slots exactly as the single process would. Provenance rounds
+//     count from the campaign's first slot, which every lease carries.
 //  2. A lease is a contiguous slot range whose length is a multiple of
 //     the engine's SyncInterval, so lease-local round boundaries coincide
 //     with global ones, and the engine's canonical release order — round
@@ -28,7 +30,7 @@
 //     is the global first occurrence — the same program, and therefore
 //     the same reduced witness bytes, the single process keeps. (As in
 //     the single process, this holds in the under-MaxReducePerPass-cap
-//     regime; the cap is per-engine, so a fleet run reduces candidates a
+//     regime; the cap is per-lease, so a fleet run reduces candidates a
 //     capped single process would have dropped.)
 //
 // Worker loss, hang or kill -9 is handled by lease expiry and re-issue:
@@ -49,8 +51,10 @@ import (
 )
 
 // ProtoVersion is bumped on any wire-incompatible change; the coordinator
-// refuses a worker whose hello disagrees.
-const ProtoVersion = 1
+// refuses a worker whose hello disagrees. Version 2 added
+// Lease.CampaignStart, which workers need for campaign-relative
+// provenance rounds.
+const ProtoVersion = 2
 
 // maxMsgBytes bounds one framed message (a result carries printed
 // witnesses and a corpus delta; 256 MiB is far above any real lease).
@@ -59,9 +63,11 @@ const maxMsgBytes = 256 << 20
 // MsgType tags an Envelope.
 type MsgType string
 
-// Protocol messages. The conversation is strictly request-response from
-// the worker's side: hello → config, then (need → lease | drain)*, with
-// one result sent before the next need.
+// Protocol messages. The conversation opens hello → config; after that
+// the worker sends need (answered by lease or drain) whenever its engine
+// wants more slots, and a result whenever a lease completes. Needs and
+// results interleave freely: a worker asks for lease N+1 while lease N is
+// still draining, and holds at most one unanswered need.
 const (
 	// MsgHello is the worker's opening message.
 	MsgHello MsgType = "hello"
@@ -136,41 +142,29 @@ type RunConfig struct {
 }
 
 // Lease is one contiguous slot range: the unit of work, re-issue and
-// corpus merge. ID is the lease's canonical index (Start == campaign
-// start + ID × lease length for every lease but possibly the last).
+// corpus merge. ID is the lease's canonical index (Start == CampaignStart
+// + ID × lease length for every lease but possibly the last).
 type Lease struct {
-	ID    int64 `json:"id"`
-	Start int64 `json:"start"`
-	Count int64 `json:"count"`
+	ID            int64 `json:"id"`
+	Start         int64 `json:"start"`
+	Count         int64 `json:"count"`
+	CampaignStart int64 `json:"campaign_start"`
 }
 
-// ResultStats is the per-lease engine stats digest the coordinator
-// aggregates for /statusz (observation only — no determinism contract).
-type ResultStats struct {
-	Generated       uint64 `json:"generated"`
-	Crashes         uint64 `json:"crashes"`
-	Miscompilations uint64 `json:"miscompilations"`
-	Mismatches      uint64 `json:"mismatches"`
-	Duplicates      uint64 `json:"duplicates"`
-	ToolErrors      uint64 `json:"tool_errors"`
-	Quarantined     uint64 `json:"quarantined"`
-	ElapsedNs       int64  `json:"elapsed_ns"`
-}
-
-// Result carries one completed lease back: the lease engine's report
-// stream in its canonical order, the corpus delta, and the stats digest.
+// Result carries one completed lease back: the lease's report stream in
+// its canonical order, the corpus delta, and the stats digest.
 type Result struct {
-	LeaseID  int64          `json:"lease_id"`
-	Worker   string         `json:"worker"`
-	Findings []core.Finding `json:"findings"`
-	Delta    *corpus.Delta  `json:"delta"`
-	Stats    ResultStats    `json:"stats"`
+	LeaseID  int64           `json:"lease_id"`
+	Worker   string          `json:"worker"`
+	Findings []core.Finding  `json:"findings"`
+	Delta    *corpus.Delta   `json:"delta"`
+	Stats    core.LeaseStats `json:"stats"`
 }
 
 // writeMsg frames env as a 4-byte big-endian length plus JSON. A single
-// Write call per frame keeps frames atomic under concurrent writers
-// (the worker writes from one goroutine anyway; the coordinator writes
-// per-connection from that connection's handler).
+// Write call per frame keeps frames atomic under concurrent writers on a
+// net.Conn; a worker, which writes from its engine's scheduler and report
+// stage, also serializes its frames under one lock.
 func writeMsg(w io.Writer, env *Envelope) error {
 	body, err := json.Marshal(env)
 	if err != nil {
@@ -183,7 +177,8 @@ func writeMsg(w io.Writer, env *Envelope) error {
 	return err
 }
 
-// readMsg reads one length-prefixed frame and decodes it.
+// readMsg reads one length-prefixed frame and decodes it. Both ends read
+// through a bufio.Reader, so a small frame arrives in a single read.
 func readMsg(r io.Reader) (*Envelope, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"gauntlet/internal/bugs"
@@ -13,12 +15,14 @@ import (
 	"gauntlet/internal/corpus"
 	"gauntlet/internal/faultinject"
 	"gauntlet/internal/generator"
-	"gauntlet/internal/validate"
 )
 
 // ErrSevered is returned by RunWorker when an injected link fault closed
 // the connection (the chaos harness's expected outcome, not a bug).
 var ErrSevered = errors.New("fleet: link severed by fault injection")
+
+// errDrained ends a worker's engine run once the coordinator drains it.
+var errDrained = errors.New("fleet: drained")
 
 // WorkerConfig parameterizes one worker process (or goroutine).
 type WorkerConfig struct {
@@ -34,18 +38,19 @@ type WorkerConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// engineConfigForLease builds the lease-ranged engine configuration: the
-// existing engine, unchanged, over [lease.Start, lease.Start+lease.Count)
-// with a fresh delta-logging corpus and the worker-lifetime validation
-// cache. MutateRatio stays zero — fleet runs are pure-generation, which
-// is what makes a lease replayable without cross-lease corpus state.
-func engineConfigForLease(run *RunConfig, lease Lease, cache *validate.Cache) (core.EngineConfig, *corpus.Corpus, error) {
+// EngineConfig builds the engine configuration a campaign's settings
+// describe, for fleet workers and single-process runs alike (callers set
+// the slot range). MutateRatio stays zero — fleet runs are
+// pure-generation, so a lease replays without cross-lease corpus state.
+// The engine rotates a private solver context every
+// core.DefaultEpochPrograms programs: a worker's memory stays bounded
+// however many leases it runs.
+func EngineConfig(run *RunConfig) (core.EngineConfig, error) {
 	cfg := core.DefaultEngineConfig()
-	cfg.StartSeed = lease.Start
-	cfg.Seeds = lease.Count
 	cfg.Seed = run.Seed
 	cfg.MutateRatio = 0
 	cfg.SyncInterval = run.SyncInterval
+	cfg.MaxCorpus = run.MaxCorpus
 	cfg.Workers = run.EngineWorkers
 	cfg.PacketTests = run.PacketTests
 	cfg.BlackBox = run.BlackBox
@@ -61,7 +66,7 @@ func engineConfigForLease(run *RunConfig, lease Lease, cache *validate.Cache) (c
 		cfg.ReduceOpts.MaxPredicateCalls = run.ReduceMaxPredicateCalls
 	}
 	cfg.MaxReducePerPass = run.MaxReducePerPass
-	cfg.Cache = cache
+	cfg.EpochPrograms = core.DefaultEpochPrograms
 	cfg.StageTimeout = time.Duration(run.StageTimeoutMs) * time.Millisecond
 	cfg.OracleTimeout = time.Duration(run.OracleTimeoutMs) * time.Millisecond
 	switch run.Backend {
@@ -70,7 +75,7 @@ func engineConfigForLease(run *RunConfig, lease Lease, cache *validate.Cache) (c
 	case "tna":
 		cfg.Backend = generator.TNA
 	default:
-		return cfg, nil, fmt.Errorf("fleet: unknown backend %q", run.Backend)
+		return cfg, fmt.Errorf("unknown backend %q (want v1model or tna)", run.Backend)
 	}
 	if len(run.Defects) > 0 {
 		reg := bugs.Load()
@@ -78,55 +83,20 @@ func engineConfigForLease(run *RunConfig, lease Lease, cache *validate.Cache) (c
 		for _, id := range run.Defects {
 			b := reg.ByID(id)
 			if b == nil {
-				return cfg, nil, fmt.Errorf("fleet: defect registry has no bug %q", id)
+				return cfg, fmt.Errorf("defect registry has no bug %q", id)
 			}
 			active = append(active, b)
 		}
 		cfg.Passes = bugs.Instrument(compiler.DefaultPasses(), active)
 	}
-	c := corpus.New(run.MaxCorpus)
-	c.EnableDeltaLog()
-	cfg.Corpus = c
-	return cfg, c, nil
-}
-
-// runLease executes one lease with a fresh engine and packages the
-// result: the engine's report stream in its canonical order, the corpus
-// delta, and a stats digest.
-func runLease(ctx context.Context, run *RunConfig, lease Lease, cache *validate.Cache, name string) (*Result, error) {
-	cfg, crp, err := engineConfigForLease(run, lease, cache)
-	if err != nil {
-		return nil, err
-	}
-	e := core.NewEngine(cfg)
-	findings := e.Run(ctx)
-	if err := ctx.Err(); err != nil {
-		return nil, err // cancelled mid-lease: never ship a partial result
-	}
-	s := e.Stats()
-	return &Result{
-		LeaseID:  lease.ID,
-		Worker:   name,
-		Findings: findings,
-		Delta:    crp.ExportDelta(),
-		Stats: ResultStats{
-			Generated:       s.Generated,
-			Crashes:         s.Crashes,
-			Miscompilations: s.Miscompilations,
-			Mismatches:      s.Mismatches,
-			Duplicates:      s.Duplicates,
-			ToolErrors:      s.CompileErrors + s.OracleErrors,
-			Quarantined:     s.Quarantined,
-			ElapsedNs:       s.Elapsed.Nanoseconds(),
-		},
-	}, nil
+	return cfg, nil
 }
 
 // RunWorker speaks the worker side of the protocol over conn: hello,
-// config, then lease-run-result until the coordinator drains. The
-// validation cache is worker-lifetime and shared across leases —
-// verdicts are recomputed, never changed, by a cold cache, so sharing
-// affects cost only. Returns nil on a clean drain.
+// config, then one engine for the whole connection, fed by a stream of
+// leases. The engine asks for the next lease when it needs more slots, so
+// lease N+1 runs while lease N drains; each lease's result ships once the
+// lease completes. Returns nil on a clean drain.
 func RunWorker(ctx context.Context, conn io.ReadWriteCloser, wcfg WorkerConfig) error {
 	defer conn.Close()
 	if wcfg.Name == "" {
@@ -136,14 +106,17 @@ func RunWorker(ctx context.Context, conn io.ReadWriteCloser, wcfg WorkerConfig) 
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	ctx, stopRun := context.WithCancelCause(ctx)
+	defer stopRun(nil)
 	// Unblock the protocol reads when ctx dies: the engine run is
 	// ctx-aware, but readMsg is not.
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
+	in := bufio.NewReader(conn)
 	if err := writeMsg(conn, &Envelope{Type: MsgHello, Hello: &Hello{Worker: wcfg.Name, Proto: ProtoVersion}}); err != nil {
 		return err
 	}
-	env, err := readMsg(conn)
+	env, err := readMsg(in)
 	if err != nil {
 		return fmt.Errorf("fleet: config: %w", err)
 	}
@@ -151,58 +124,92 @@ func RunWorker(ctx context.Context, conn io.ReadWriteCloser, wcfg WorkerConfig) 
 		return fmt.Errorf("fleet: expected config, got %q", env.Type)
 	}
 	run := env.Config
-	cache := validate.NewCache()
-	for {
-		if err := writeMsg(conn, &Envelope{Type: MsgNeed}); err != nil {
-			return err
-		}
-		env, err := readMsg(conn)
-		if err != nil {
-			return err
-		}
-		switch env.Type {
-		case MsgDrain:
-			logf("fleet: %s drained", wcfg.Name)
-			return nil
-		case MsgLease:
-			if env.Lease == nil {
-				return fmt.Errorf("fleet: lease frame without payload")
-			}
-			lease := *env.Lease
-			logf("fleet: %s running lease %d [%d, %d)", wcfg.Name, lease.ID, lease.Start, lease.Start+lease.Count)
-			res, err := runLease(ctx, run, lease, cache, wcfg.Name)
-			if err != nil {
-				return err
-			}
-			if wcfg.LinkFault != nil {
-				f := wcfg.LinkFault(lease.ID)
-				if f.Delay > 0 {
-					t := time.NewTimer(f.Delay)
-					select {
-					case <-t.C:
-					case <-ctx.Done():
-						t.Stop()
-						return ctx.Err()
-					}
-					t.Stop()
+	cfg, err := EngineConfig(run)
+	if err != nil {
+		return fmt.Errorf("fleet: %w", err)
+	}
+
+	// Needs go out from the engine's scheduler, results from its report
+	// stage: one lock keeps the frames whole.
+	var writeMu sync.Mutex
+	write := func(env *Envelope) error {
+		writeMu.Lock()
+		defer writeMu.Unlock()
+		return writeMsg(conn, env)
+	}
+	ship := func(res *Result) error {
+		if wcfg.LinkFault != nil {
+			f := wcfg.LinkFault(res.LeaseID)
+			if f.Delay > 0 {
+				select {
+				case <-time.After(f.Delay):
+				case <-ctx.Done():
+					return ctx.Err()
 				}
-				if f.Drop {
-					logf("fleet: %s dropping result for lease %d (injected)", wcfg.Name, lease.ID)
-					if f.Sever {
-						return ErrSevered
-					}
-					continue
-				}
+			}
+			if f.Drop {
+				logf("fleet: %s dropping result for lease %d (injected)", wcfg.Name, res.LeaseID)
 				if f.Sever {
-					logf("fleet: %s severing link after lease %d (injected)", wcfg.Name, lease.ID)
 					return ErrSevered
 				}
+				return nil
 			}
-			if err := writeMsg(conn, &Envelope{Type: MsgResult, Result: res}); err != nil {
-				return err
+			if f.Sever {
+				logf("fleet: %s severing link after lease %d (injected)", wcfg.Name, res.LeaseID)
+				return ErrSevered
 			}
-		default:
-			return fmt.Errorf("fleet: unexpected %q from coordinator", env.Type)
 		}
+		return write(&Envelope{Type: MsgResult, Result: res})
 	}
+	// take reads the answer to a need: a lease, or drain.
+	take := func() (core.Lease, bool) {
+		env, err := readMsg(in)
+		switch {
+		case err != nil:
+			stopRun(err)
+		case env.Type == MsgDrain:
+			// Drain means every lease is released (or the coordinator is
+			// shutting down): whatever this worker still holds is moot.
+			logf("fleet: %s drained", wcfg.Name)
+			stopRun(errDrained)
+		case env.Type != MsgLease || env.Lease == nil:
+			stopRun(fmt.Errorf("fleet: unexpected %q from coordinator", env.Type))
+		default:
+			lease := *env.Lease
+			crp := corpus.New(run.MaxCorpus)
+			crp.EnableDeltaLog()
+			return core.Lease{
+				Start: lease.Start, Count: lease.Count, CampaignStart: lease.CampaignStart,
+				Corpus: crp,
+				Started: func() {
+					logf("fleet: %s running lease %d [%d, %d)", wcfg.Name, lease.ID, lease.Start, lease.Start+lease.Count)
+				},
+				Done: func(fs []core.Finding, st core.LeaseStats) {
+					res := &Result{LeaseID: lease.ID, Worker: wcfg.Name, Findings: fs, Delta: crp.ExportDelta(), Stats: st}
+					if err := ship(res); err != nil {
+						stopRun(err)
+					}
+				},
+			}, true
+		}
+		return core.Lease{}, false
+	}
+	// A fresh worker needs slots at once: its first need goes out before
+	// the engine is built, so the grant overlaps the construction. The
+	// engine's scheduler asks for every later lease when it needs more.
+	asked := write(&Envelope{Type: MsgNeed}) == nil
+	core.NewEngine(cfg).RunLeases(ctx, func() (core.Lease, bool) {
+		if !asked {
+			if err := write(&Envelope{Type: MsgNeed}); err != nil {
+				stopRun(err)
+				return core.Lease{}, false
+			}
+		}
+		asked = false
+		return take()
+	})
+	if err := context.Cause(ctx); err != nil && err != errDrained {
+		return err
+	}
+	return nil
 }

@@ -46,14 +46,9 @@ type internShard struct {
 
 // NewInterner creates an empty interning table. Most callers go through
 // a Context (which owns one); free-standing interners exist only for
-// measurement.
-func NewInterner() *Interner {
-	in := &Interner{}
-	for i := range in.shards {
-		in.shards[i].table = map[uint64][]*Term{}
-	}
-	return in
-}
+// measurement. Shard tables are allocated on first insert, so a fresh
+// context is cheap.
+func NewInterner() *Interner { return &Interner{} }
 
 // Stats reports the default context's interner size (distinct live
 // terms) and cumulative hit count (constructions answered by an existing
@@ -209,6 +204,9 @@ func (in *Interner) Intern(t *Term) *Term {
 			s.mu.Unlock()
 			return c
 		}
+	}
+	if s.table == nil {
+		s.table = map[uint64][]*Term{}
 	}
 	s.table[h] = append(s.table[h], t)
 	s.count++

@@ -16,12 +16,13 @@
 #      watermark, corpus and journal-seeded dedup and finishes the
 #      budget.
 #   4. The combined journal's finding sequence must be identical to the
-#      single-process baseline's — same fingerprints, same canonical
-#      order, despite the sharding, the worker kill, the lease re-issue
-#      and the coordinator crash. (Fingerprints of reduced findings hash
-#      the alpha-renamed witness, so sequence identity implies witness
-#      byte identity; the in-process race-enabled tests in internal/fleet
-#      assert the full finding structs field by field.)
+#      single-process baseline's — same fingerprints, same provenance
+#      slots and rounds, same canonical order, despite the sharding, the
+#      worker kill, the lease re-issue and the coordinator crash.
+#      (Fingerprints of reduced findings hash the alpha-renamed witness,
+#      so sequence identity implies witness byte identity; the in-process
+#      race-enabled tests in internal/fleet assert the full finding
+#      structs field by field.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -131,9 +132,14 @@ grep -q "^resume: watermark slot" "$dir/coord2.err" \
 echo "phase 3 ok: $(grep '^resume: watermark slot' "$dir/coord2.err")"
 
 echo "--- phase 4: journal sequence vs baseline finding stream"
-# Ordered fingerprint sequences (not sorted sets): canonical report order
-# is part of the contract.
-fpseq() { grep -o '"fingerprint":[0-9]*' "$1" || true; }
+# Ordered (fingerprint, provenance slot, provenance round) sequences, not
+# sorted sets: canonical report order and campaign-relative provenance
+# are part of the contract. A finding without provenance keeps its
+# fingerprint and is marked as such.
+fpseq() {
+  sed -n -e 's/.*"fingerprint":\([0-9]*\).*"provenance":{"slot":\([0-9]*\),"round":\([0-9]*\).*/\1 \2 \3/p' -e 't' \
+    -e 's/.*"fingerprint":\([0-9]*\).*/\1 no-provenance/p' "$1"
+}
 if ! diff <(fpseq "$dir/base.jsonl") <(fpseq "$dir/state/journal.jsonl") > "$dir/fp.diff"; then
   echo "FAIL: fleet journal diverges from the single-process baseline:"
   cat "$dir/fp.diff"
@@ -141,7 +147,8 @@ if ! diff <(fpseq "$dir/base.jsonl") <(fpseq "$dir/state/journal.jsonl") > "$dir
 fi
 # And the two coordinator incarnations' streams must partition the
 # baseline: no fingerprint reported by both.
-dups=$(comm -12 <(fpseq "$dir/fleet1.jsonl" | sort -u) <(fpseq "$dir/fleet2.jsonl" | sort -u) | wc -l)
+fps() { fpseq "$1" | cut -d' ' -f1 | sort -u; }
+dups=$(comm -12 <(fps "$dir/fleet1.jsonl") <(fps "$dir/fleet2.jsonl") | wc -l)
 if [ "$dups" -ne 0 ]; then
   echo "FAIL: $dups finding fingerprint(s) re-reported after the coordinator crash"
   exit 1
