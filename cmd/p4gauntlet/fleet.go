@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -16,7 +15,6 @@ import (
 	"gauntlet/internal/corpus"
 	"gauntlet/internal/fleet"
 	"gauntlet/internal/obs"
-	"gauntlet/internal/persist"
 )
 
 // fleetFlags carries the coordinator/worker-specific flags; the shared
@@ -99,10 +97,7 @@ func splitDefects(list string) []string {
 // leases, serve them to workers, merge results in canonical order, own
 // the journal/checkpoint, optionally fork a local worker fleet.
 func coordinatorMain(ff fuzzFlags, fl fleetFlags) {
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "p4gauntlet: "+format+"\n", args...)
-		os.Exit(2)
-	}
+	fail := func(format string, args ...any) { exitf(2, format, args...) }
 	if fl.listen == "" {
 		fail("coordinator mode requires -listen ADDR (host:port or a socket path)")
 	}
@@ -127,66 +122,23 @@ func coordinatorMain(ff fuzzFlags, fl fleetFlags) {
 
 	// Durable state and resume, the serve-mode discipline with the
 	// coordinator as the single persistence owner: journal write-ahead
-	// happens inside the release path, so only resume restoration and the
-	// contradiction checks live here.
-	dir := ff.stateDir
-	if ff.resumeDir != "" {
-		if dir != "" && dir != ff.resumeDir {
-			fail("-state and -resume point at different directories")
-		}
-		dir = ff.resumeDir
+	// and checkpoints happen inside the release path, which carries the
+	// resumed checkpoint's watermark, corpus and totals forward.
+	state, cp, known := openState(ff, 2)
+	if state != nil {
+		defer state.Close()
+		cfg.State = state
 	}
-	if dir != "" {
-		st, err := persist.Open(dir)
-		if err != nil {
-			fail("state: %v", err)
-		}
-		defer st.Close()
-		cfg.State = st
-		if ff.resumeDir != "" {
-			cp, err := st.LoadCheckpoint()
-			if err != nil {
-				fail("resume: %v", err)
-			}
-			if cp != nil {
-				if ff.explicit["seed"] && run.Seed != cp.Seed {
-					fail("resume: -seed %d contradicts checkpoint seed %d", run.Seed, cp.Seed)
-				}
-				cfg.Run.Seed = cp.Seed
-				cfg.ResumeWatermark = cp.NextSlot
-				if cp.Corpus != nil {
-					c, err := corpus.FromSnapshot(cp.Corpus)
-					if err != nil {
-						fail("resume: corpus: %v", err)
-					}
-					cfg.Corpus = c
-				}
-			}
-			known, nrec, err := st.KnownFindings()
-			if err != nil {
-				fail("resume: journal: %v", err)
-			}
-			cfg.KnownFindings = known
-			fmt.Fprintf(os.Stderr, "resume: watermark slot %d, %d journaled findings pre-seeding dedup\n",
-				cfg.ResumeWatermark, nrec)
-		}
+	if cp != nil {
+		cfg.Run.Seed = cp.Seed
+		cfg.Resume = cp
 	}
+	cfg.KnownFindings = known
 
 	// Findings stream: human line to stderr, JSONL record to the sink —
 	// the fuzz-mode shape with the coordinator as the single emitter.
-	var sink io.Writer
-	switch ff.jsonl {
-	case "":
-	case "-":
-		sink = os.Stdout
-	default:
-		f, err := os.OpenFile(ff.jsonl, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fail("%v", err)
-		}
-		defer f.Close()
-		sink = f
-	}
+	sink, closeSink := openJSONL(ff.jsonl, 2)
+	defer closeSink()
 	jw := newJSONLWriter(sink, func(what string, err error) {
 		fmt.Fprintf(os.Stderr, "p4gauntlet: jsonl %s record lost: %v\n", what, err)
 	})
@@ -202,7 +154,7 @@ func coordinatorMain(ff fuzzFlags, fl fleetFlags) {
 
 	if ff.httpAddr != "" {
 		started := time.Now()
-		admin, err := obs.StartAdmin(ff.httpAddr, obs.AdminConfig{
+		stopAdmin := startAdmin(ff.httpAddr, obs.AdminConfig{
 			Metrics: cfg.Obs,
 			Health:  coord.Health,
 			Status: func() any {
@@ -212,16 +164,8 @@ func coordinatorMain(ff fuzzFlags, fl fleetFlags) {
 					Fleet: coord.Status(), Corpus: coord.Corpus().Stats(),
 				}
 			},
-		})
-		if err != nil {
-			fail("%v", err)
-		}
-		defer func() {
-			sdCtx, sdCancel := context.WithTimeout(context.Background(), 3*time.Second)
-			admin.Shutdown(sdCtx)
-			sdCancel()
-		}()
-		fmt.Fprintf(os.Stderr, "admin: serving /metrics /statusz /healthz /debug/pprof on http://%s\n", admin.Addr())
+		}, 2)
+		defer stopAdmin()
 	}
 
 	network, address := listenAddr(fl.listen)
@@ -271,12 +215,10 @@ func coordinatorMain(ff fuzzFlags, fl fleetFlags) {
 		cmd.Wait() // drained workers exit on their own; reap them
 	}
 	if serveErr != nil {
-		fmt.Fprintf(os.Stderr, "p4gauntlet: fleet: %v\n", serveErr)
-		os.Exit(1)
+		exitf(1, "fleet: %v", serveErr)
 	}
 	if err := coord.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "p4gauntlet: fleet: %v\n", err)
-		os.Exit(1)
+		exitf(1, "fleet: %v", err)
 	}
 	findings := coord.Findings()
 	st := coord.Status()
@@ -292,8 +234,7 @@ func coordinatorMain(ff fuzzFlags, fl fleetFlags) {
 // over the wire.
 func workerMain(fl fleetFlags) {
 	if fl.connect == "" {
-		fmt.Fprintln(os.Stderr, "p4gauntlet: worker mode requires -connect ADDR")
-		os.Exit(2)
+		exitf(2, "worker mode requires -connect ADDR")
 	}
 	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSig()
@@ -307,8 +248,7 @@ func workerMain(fl fleetFlags) {
 			break
 		}
 		if time.Now().After(deadline) || ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "p4gauntlet: worker: dial %s: %v\n", fl.connect, err)
-			os.Exit(1)
+			exitf(1, "worker: dial %s: %v", fl.connect, err)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
@@ -323,7 +263,6 @@ func workerMain(fl fleetFlags) {
 		},
 	}
 	if err := fleet.RunWorker(ctx, conn, wcfg); err != nil && ctx.Err() == nil {
-		fmt.Fprintf(os.Stderr, "p4gauntlet: worker: %v\n", err)
-		os.Exit(1)
+		exitf(1, "worker: %v", err)
 	}
 }

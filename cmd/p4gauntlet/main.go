@@ -94,67 +94,50 @@ import (
 )
 
 func main() {
+	var ff fuzzFlags
+	var fl fleetFlags
 	mode := flag.String("mode", "campaign", "campaign | levels | fuzz | serve")
-	seeds := flag.Int64("seeds", 50, "random programs (fuzz mode, 0 = unbounded; serve mode defaults to 0) / samples per class (levels mode)")
-	start := flag.Int64("start", 0, "first generator seed (fuzz mode)")
-	seed := flag.Int64("seed", 0, "master schedule seed (fuzz mode): the same -seed replays the whole run, mutation schedule included")
-	workers := flag.Int("workers", 0, "per-stage worker pool size (fuzz mode, 0 = GOMAXPROCS)")
-	duration := flag.Duration("duration", 0, "wall-clock budget (fuzz mode, 0 = until seeds are exhausted)")
-	backend := flag.String("backend", "v1model", "generator/pipeline backend: v1model | tna")
-	jsonl := flag.String("jsonl", "", "append unique findings as JSON lines to FILE (\"-\" = stdout)")
-	packets := flag.Bool("packets", true, "run symbolic-execution packet tests in addition to translation validation")
-	concolic := flag.Bool("concolic", true, "bit-parallel concrete falsification under every equivalence query plus trace-steered test enumeration; -concolic=false sends every verdict straight to the solver (bisection / invariance checking)")
-	doReduce := flag.Bool("reduce", true, "auto-reduce each unique finding's witness")
-	reduceWorkers := flag.Int("reduce-workers", 0, "speculative reduction window: candidates probed concurrently per finding (0 = -workers; the reduced witnesses are byte-identical at any value)")
-	mutateRatio := flag.Float64("mutate-ratio", 0.5, "fraction of programs drawn by mutating corpus seeds (fuzz mode, 0 = pure grammar generation)")
-	corpusDir := flag.String("corpus", "", "corpus directory: load seeds before the run and save the admitted corpus after (fuzz mode)")
-	statsInterval := flag.Duration("stats-interval", 0, "emit a periodic stats record to -jsonl every D (fuzz/serve mode; serve defaults to 30s, fuzz to final record only)")
-	epochPrograms := flag.Int("epoch-programs", 0, fmt.Sprintf("rotate the solver context + caches every N programs, bounding per-epoch memory (serve mode defaults to %d; 0 in fuzz mode = never)", core.DefaultEpochPrograms))
-	stateDir := flag.String("state", "", "durable state directory (fuzz/serve mode): fsynced findings journal, periodic atomic checkpoints and quarantine records")
-	resumeDir := flag.String("resume", "", "resume a killed campaign from the durable state in DIR (implies -state DIR): restores the corpus and seed watermark from the checkpoint and pre-seeds dedup from the journal so reprocessed slots are never re-reported")
-	checkpointPrograms := flag.Int("checkpoint-programs", 0, "checkpoint cadence in folded programs (needs -state; 0 = every epoch, or every 256 programs when epochs are off)")
-	stageTimeout := flag.Duration("stage-timeout", 0, "per-program stall budget for each pipeline stage: a stage body exceeding it is abandoned and the program quarantined (serve mode defaults to 30s; 0 disables the watchdog)")
-	oracleTimeout := flag.Duration("oracle-timeout", 0, "wall-clock budget for one program's oracle inspection: on expiry the ladder retries once at doubled budgets, then degrades the verdict to Unknown (0 disables)")
-	httpAddr := flag.String("http", "", "serve the admin/introspection endpoints (/metrics, /statusz, /healthz, /debug/pprof) on ADDR (fuzz/serve mode; e.g. 127.0.0.1:8080, \"\" disables)")
-	injectEvery := flag.Int64("inject-every", 0, "fault injection for resilience testing: deterministically fault ~1/N units per stage (0 disables)")
-	injectSeed := flag.Int64("inject-seed", 1, "fault-injection plan seed (with -inject-every)")
-	injectStages := flag.String("inject-stages", "generate,compile,oracle,reduce", "comma-separated stages to inject into (with -inject-every)")
-	injectStall := flag.Duration("inject-stall", 5*time.Second, "injected stall duration (with -inject-every); set above -stage-timeout to exercise abandonment")
-	listen := flag.String("listen", "", "coordinator mode: accept worker connections on ADDR (host:port, or a socket path containing '/')")
-	connect := flag.String("connect", "", "worker mode: dial the coordinator at ADDR (retrying while it boots)")
-	fleetN := flag.Int("fleet", 0, "coordinator mode: fork N local worker processes of this binary against -listen (0 = external workers only)")
-	leaseSlots := flag.Int64("lease-slots", 0, "coordinator mode: seeds per work lease; must be a multiple of the engine sync interval (0 = 4 sync intervals)")
-	leaseTimeout := flag.Duration("lease-timeout", 0, "coordinator mode: re-issue a lease not completed within D — set above a lease's worst-case wall clock (0 = 2m)")
-	workerName := flag.String("worker-name", "", "worker mode: name for logs and per-worker metrics (default worker-PID)")
-	defects := flag.String("defects", "", "comma-separated bug registry IDs to instrument into the pipeline (fuzz/coordinator mode; the CI smoke harness's known-defect seeding)")
+	flag.Int64Var(&ff.seeds, "seeds", 50, "random programs (fuzz mode, 0 = unbounded; serve mode defaults to 0) / samples per class (levels mode)")
+	flag.Int64Var(&ff.start, "start", 0, "first generator seed (fuzz mode)")
+	flag.Int64Var(&ff.seed, "seed", 0, "master schedule seed (fuzz mode): the same -seed replays the whole run, mutation schedule included")
+	flag.IntVar(&ff.workers, "workers", 0, "per-stage worker pool size (fuzz mode, 0 = GOMAXPROCS)")
+	flag.DurationVar(&ff.duration, "duration", 0, "wall-clock budget (fuzz mode, 0 = until seeds are exhausted)")
+	flag.StringVar(&ff.backend, "backend", "v1model", "generator/pipeline backend: v1model | tna")
+	flag.StringVar(&ff.jsonl, "jsonl", "", "append unique findings as JSON lines to FILE (\"-\" = stdout)")
+	flag.BoolVar(&ff.packets, "packets", true, "run symbolic-execution packet tests in addition to translation validation")
+	flag.BoolVar(&ff.concolic, "concolic", true, "bit-parallel concrete falsification under every equivalence query plus trace-steered test enumeration; -concolic=false sends every verdict straight to the solver (bisection / invariance checking)")
+	flag.BoolVar(&ff.reduce, "reduce", true, "auto-reduce each unique finding's witness")
+	flag.IntVar(&ff.reduceWorkers, "reduce-workers", 0, "speculative reduction window: candidates probed concurrently per finding (0 = -workers; the reduced witnesses are byte-identical at any value)")
+	flag.Float64Var(&ff.mutateRatio, "mutate-ratio", 0.5, "fraction of programs drawn by mutating corpus seeds (fuzz mode, 0 = pure grammar generation)")
+	flag.StringVar(&ff.corpusDir, "corpus", "", "corpus directory: load seeds before the run and save the admitted corpus after (fuzz mode)")
+	flag.DurationVar(&ff.statsInterval, "stats-interval", 0, "emit a periodic stats record to -jsonl every D (fuzz/serve mode; serve defaults to 30s, fuzz to final record only)")
+	flag.IntVar(&ff.epochPrograms, "epoch-programs", 0, fmt.Sprintf("rotate the solver context + caches every N programs, bounding per-epoch memory (serve mode defaults to %d; 0 in fuzz mode = never)", core.DefaultEpochPrograms))
+	flag.StringVar(&ff.stateDir, "state", "", "durable state directory (fuzz/serve mode): fsynced findings journal, periodic atomic checkpoints and quarantine records")
+	flag.StringVar(&ff.resumeDir, "resume", "", "resume a killed campaign from the durable state in DIR (implies -state DIR): restores the corpus and seed watermark from the checkpoint and pre-seeds dedup from the journal so reprocessed slots are never re-reported")
+	flag.IntVar(&ff.checkpointPrograms, "checkpoint-programs", 0, "checkpoint cadence in folded programs (needs -state; 0 = every epoch, or every 256 programs when epochs are off)")
+	flag.DurationVar(&ff.stageTimeout, "stage-timeout", 0, "per-program stall budget for each pipeline stage: a stage body exceeding it is abandoned and the program quarantined (serve mode defaults to 30s; 0 disables the watchdog)")
+	flag.DurationVar(&ff.oracleTimeout, "oracle-timeout", 0, "wall-clock budget for one program's oracle inspection: on expiry the ladder retries once at doubled budgets, then degrades the verdict to Unknown (0 disables)")
+	flag.StringVar(&ff.httpAddr, "http", "", "serve the admin/introspection endpoints (/metrics, /statusz, /healthz, /debug/pprof) on ADDR (fuzz/serve mode; e.g. 127.0.0.1:8080, \"\" disables)")
+	flag.Int64Var(&ff.injectEvery, "inject-every", 0, "fault injection for resilience testing: deterministically fault ~1/N units per stage (0 disables)")
+	flag.Int64Var(&ff.injectSeed, "inject-seed", 1, "fault-injection plan seed (with -inject-every)")
+	flag.StringVar(&ff.injectStages, "inject-stages", "generate,compile,oracle,reduce", "comma-separated stages to inject into (with -inject-every)")
+	flag.DurationVar(&ff.injectStall, "inject-stall", 5*time.Second, "injected stall duration (with -inject-every); set above -stage-timeout to exercise abandonment")
+	flag.StringVar(&fl.listen, "listen", "", "coordinator mode: accept worker connections on ADDR (host:port, or a socket path containing '/')")
+	flag.StringVar(&fl.connect, "connect", "", "worker mode: dial the coordinator at ADDR (retrying while it boots)")
+	flag.IntVar(&fl.forkWorkers, "fleet", 0, "coordinator mode: fork N local worker processes of this binary against -listen (0 = external workers only)")
+	flag.Int64Var(&fl.leaseSlots, "lease-slots", 0, "coordinator mode: seeds per work lease; must be a multiple of the engine sync interval (0 = 4 sync intervals)")
+	flag.DurationVar(&fl.leaseTimeout, "lease-timeout", 0, "coordinator mode: re-issue a lease not completed within D — set above a lease's worst-case wall clock (0 = 2m)")
+	flag.StringVar(&fl.workerName, "worker-name", "", "worker mode: name for logs and per-worker metrics (default worker-PID)")
+	flag.StringVar(&ff.defects, "defects", "", "comma-separated bug registry IDs to instrument into the pipeline (fuzz/coordinator mode; the CI smoke harness's known-defect seeding)")
 	flag.Parse()
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
-	ff := fuzzFlags{
-		seeds: *seeds, start: *start, seed: *seed, workers: *workers, duration: *duration,
-		backend: *backend, jsonl: *jsonl, packets: *packets, reduce: *doReduce, concolic: *concolic,
-		reduceWorkers: *reduceWorkers,
-		mutateRatio: *mutateRatio, corpusDir: *corpusDir, statsInterval: *statsInterval,
-		epochPrograms: *epochPrograms,
-		stateDir:      *stateDir, resumeDir: *resumeDir, checkpointPrograms: *checkpointPrograms,
-		stageTimeout: *stageTimeout, oracleTimeout: *oracleTimeout,
-		httpAddr:    *httpAddr,
-		injectEvery: *injectEvery, injectSeed: *injectSeed,
-		injectStages: *injectStages, injectStall: *injectStall,
-		defects:  *defects,
-		explicit: explicit,
-	}
-	fl := fleetFlags{
-		listen: *listen, connect: *connect, forkWorkers: *fleetN,
-		leaseSlots: *leaseSlots, leaseTimeout: *leaseTimeout, workerName: *workerName,
-	}
+	ff.explicit = map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { ff.explicit[f.Name] = true })
 
 	switch *mode {
 	case "campaign":
 		campaign()
 	case "levels":
-		fmt.Print(core.RunLevelStudy(int(*seeds)).Render())
+		fmt.Print(core.RunLevelStudy(int(ff.seeds)).Render())
 	case "coordinator":
 		coordinatorMain(ff, fl)
 	case "worker":
@@ -164,36 +147,34 @@ func main() {
 			// Serve is fuzz shaped for multi-day runs: unbounded seed
 			// stream, bounded memory, observable by default.
 			ff.serve = true
-			if !explicit["seeds"] {
+			if !ff.explicit["seeds"] {
 				ff.seeds = 0
 			}
-			if !explicit["epoch-programs"] {
+			if !ff.explicit["epoch-programs"] {
 				ff.epochPrograms = core.DefaultEpochPrograms
 			}
-			if !explicit["stats-interval"] {
+			if !ff.explicit["stats-interval"] {
 				ff.statsInterval = 30 * time.Second
 			}
-			if !explicit["jsonl"] {
+			if !ff.explicit["jsonl"] {
 				// Observable by default: without an explicit sink the
 				// periodic stats, epoch and finding records stream to
 				// stdout — a multi-day run must never be silent until
 				// its final summary.
 				ff.jsonl = "-"
 			}
-			if !explicit["stage-timeout"] {
+			if !ff.explicit["stage-timeout"] {
 				// A multi-day run must survive a single pathological
 				// program: watchdog on by default.
 				ff.stageTimeout = 30 * time.Second
 			}
 			if ff.epochPrograms <= 0 {
-				fmt.Fprintln(os.Stderr, "p4gauntlet: serve mode requires -epoch-programs > 0 (memory would grow unbounded)")
-				os.Exit(2)
+				exitf(2, "serve mode requires -epoch-programs > 0 (memory would grow unbounded)")
 			}
 		}
 		fuzz(ff)
 	default:
-		fmt.Fprintf(os.Stderr, "p4gauntlet: unknown mode %q\n", *mode)
-		os.Exit(2)
+		exitf(2, "unknown mode %q", *mode)
 	}
 }
 
@@ -204,8 +185,7 @@ func campaign() {
 		len(c.Registry.Bugs), len(c.Registry.Confirmed()))
 	dets, err := c.RunAll()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "p4gauntlet: %v\n", err)
-		os.Exit(1)
+		exitf(1, "%v", err)
 	}
 	rep := core.NewReport(c.Registry, dets)
 	fmt.Println(rep.Table2())
@@ -265,6 +245,32 @@ type statuszPayload struct {
 	Quarantine []core.QuarantineRecord `json:"quarantine,omitempty"`
 }
 
+// recent is a bounded, concurrency-safe ring of the latest records of one
+// kind, for /statusz.
+type recent[T any] struct {
+	mu    sync.Mutex
+	items []T
+}
+
+// tap returns a callback that keeps each record, then passes it to next.
+func (r *recent[T]) tap(next func(T)) func(T) {
+	const keep = 64
+	return func(v T) {
+		r.mu.Lock()
+		if r.items = append(r.items, v); len(r.items) > keep {
+			r.items = r.items[len(r.items)-keep:]
+		}
+		r.mu.Unlock()
+		next(v)
+	}
+}
+
+func (r *recent[T]) snapshot() []T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]T(nil), r.items...)
+}
+
 // reportFinding writes a finding's one-line human summary to w and its
 // JSON record to jw.
 func reportFinding(w io.Writer, jw *jsonlWriter, f core.Finding) {
@@ -291,8 +297,7 @@ func fuzz(ff fuzzFlags) {
 	// run (the fleet smoke harness's baseline).
 	run, err := runConfig(ff)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "p4gauntlet: %v\n", err)
-		os.Exit(2)
+		exitf(2, "%v", err)
 	}
 	cfg, _ := fleet.EngineConfig(&run)
 	cfg.StartSeed = ff.start
@@ -305,30 +310,19 @@ func fuzz(ff fuzzFlags) {
 		if n, err := c.Load(ff.corpusDir); err == nil {
 			fmt.Fprintf(os.Stderr, "corpus: loaded %d seeds from %s\n", n, ff.corpusDir)
 		} else if !os.IsNotExist(err) {
-			fmt.Fprintf(os.Stderr, "p4gauntlet: corpus load: %v\n", err)
-			os.Exit(1)
+			exitf(1, "corpus load: %v", err)
 		}
 		cfg.Corpus = c
 	}
 
-	var sink io.Writer
+	sink, closeSink := openJSONL(ff.jsonl, 1)
+	defer closeSink()
 	// human carries the progress lines (findings, epoch retirements,
 	// summary). When the JSONL stream owns stdout, they move to stderr so
 	// `p4gauntlet -mode serve | jq .` stays parseable.
 	human := io.Writer(os.Stdout)
-	switch ff.jsonl {
-	case "":
-	case "-":
-		sink = os.Stdout
+	if ff.jsonl == "-" {
 		human = os.Stderr
-	default:
-		f, err := os.OpenFile(ff.jsonl, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "p4gauntlet: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		sink = f
 	}
 	// The engine is declared here (assigned after configuration below) so
 	// the JSONL drop path can count lost records on it.
@@ -381,33 +375,13 @@ func fuzz(ff fuzzFlags) {
 	// quarantine records feed /statusz. The rings wrap the base callbacks
 	// here so later wrappers (the persist layer's) compose on top.
 	var reg *obs.Registry
-	var introMu sync.Mutex
-	var recentEpochs []core.EpochStats
-	var recentQuarantine []core.QuarantineRecord
+	var recentEpochs recent[core.EpochStats]
+	var recentQuarantine recent[core.QuarantineRecord]
 	if ff.httpAddr != "" {
 		reg = obs.NewRegistry()
 		cfg.Obs = reg
-		const keepRecent = 64
-		prevEpoch := cfg.OnEpoch
-		cfg.OnEpoch = func(es core.EpochStats) {
-			introMu.Lock()
-			recentEpochs = append(recentEpochs, es)
-			if len(recentEpochs) > keepRecent {
-				recentEpochs = recentEpochs[len(recentEpochs)-keepRecent:]
-			}
-			introMu.Unlock()
-			prevEpoch(es)
-		}
-		prevQuar := cfg.OnQuarantine
-		cfg.OnQuarantine = func(rec core.QuarantineRecord) {
-			introMu.Lock()
-			recentQuarantine = append(recentQuarantine, rec)
-			if len(recentQuarantine) > keepRecent {
-				recentQuarantine = recentQuarantine[len(recentQuarantine)-keepRecent:]
-			}
-			introMu.Unlock()
-			prevQuar(rec)
-		}
+		cfg.OnEpoch = recentEpochs.tap(cfg.OnEpoch)
+		cfg.OnQuarantine = recentQuarantine.tap(cfg.OnQuarantine)
 	}
 
 	// Deterministic fault injection (resilience testing): the chaos-smoke
@@ -433,67 +407,24 @@ func fuzz(ff fuzzFlags) {
 	// checkpoints at fold boundaries, quarantine records on disk. With
 	// -resume, restore the dead incarnation's corpus + watermark and
 	// pre-seed dedup from its journal.
-	var st *persist.State
 	baseTotals := persist.Totals{}
 	baseEpoch := 0
 	epochsThisRun := 0
-	dir := ff.stateDir
-	if ff.resumeDir != "" {
-		if dir != "" && dir != ff.resumeDir {
-			fmt.Fprintln(os.Stderr, "p4gauntlet: -state and -resume point at different directories")
-			os.Exit(2)
+	st, cp, known := openState(ff, 1)
+	if cp != nil {
+		cfg.Seed, cfg.MutateRatio, cfg.StartSeed = cp.Seed, cp.MutateRatio, cp.NextSlot
+		baseTotals, baseEpoch = cp.Totals, cp.Epoch
+		if cp.Corpus != nil {
+			c, err := corpus.FromSnapshot(cp.Corpus)
+			if err != nil {
+				exitf(1, "resume: corpus: %v", err)
+			}
+			cfg.Corpus = c
 		}
-		dir = ff.resumeDir
 	}
-	if dir != "" {
-		var err error
-		st, err = persist.Open(dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "p4gauntlet: state: %v\n", err)
-			os.Exit(1)
-		}
+	cfg.KnownFindings = known
+	if st != nil {
 		defer st.Close()
-		if ff.resumeDir != "" {
-			cp, err := st.LoadCheckpoint()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "p4gauntlet: resume: %v\n", err)
-				os.Exit(1)
-			}
-			if cp != nil {
-				// The corpus and watermark are functions of the schedule:
-				// refuse explicit flags that contradict the checkpoint,
-				// adopt its values otherwise.
-				if ff.explicit["seed"] && cfg.Seed != cp.Seed {
-					fmt.Fprintf(os.Stderr, "p4gauntlet: resume: -seed %d contradicts checkpoint seed %d\n", cfg.Seed, cp.Seed)
-					os.Exit(2)
-				}
-				if ff.explicit["mutate-ratio"] && cfg.MutateRatio != cp.MutateRatio {
-					fmt.Fprintf(os.Stderr, "p4gauntlet: resume: -mutate-ratio %g contradicts checkpoint %g\n", cfg.MutateRatio, cp.MutateRatio)
-					os.Exit(2)
-				}
-				cfg.Seed = cp.Seed
-				cfg.MutateRatio = cp.MutateRatio
-				cfg.StartSeed = cp.NextSlot
-				baseTotals = cp.Totals
-				baseEpoch = cp.Epoch
-				if cp.Corpus != nil {
-					c, err := corpus.FromSnapshot(cp.Corpus)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "p4gauntlet: resume: corpus: %v\n", err)
-						os.Exit(1)
-					}
-					cfg.Corpus = c
-				}
-			}
-			known, nrec, err := st.KnownFindings()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "p4gauntlet: resume: journal: %v\n", err)
-				os.Exit(1)
-			}
-			cfg.KnownFindings = known
-			fmt.Fprintf(os.Stderr, "resume: watermark slot %d, %d journaled findings pre-seeding dedup\n",
-				cfg.StartSeed, nrec)
-		}
 		// Write-ahead discipline: a finding hits the fsynced journal
 		// before it is streamed anywhere else, so anything the user ever
 		// saw survives a crash.
@@ -567,9 +498,8 @@ func fuzz(ff fuzzFlags) {
 	engine = core.NewEngine(cfg)
 
 	// Start the admin server once the engine exists (its Health/Status
-	// hooks read it). Binding eagerly means a bad -http address fails the
-	// run at startup, not at first scrape.
-	var admin *obs.Admin
+	// hooks read it).
+	stopAdmin := func() {}
 	if ff.httpAddr != "" {
 		// Liveness window: the collector folds a round every SyncInterval
 		// programs, so a healthy pipeline folds continuously. Five minutes
@@ -584,8 +514,7 @@ func fuzz(ff fuzzFlags) {
 			modeName = "serve"
 		}
 		started := time.Now()
-		var err error
-		admin, err = obs.StartAdmin(ff.httpAddr, obs.AdminConfig{
+		stopAdmin = startAdmin(ff.httpAddr, obs.AdminConfig{
 			Metrics: reg,
 			Health: func() error {
 				h := engine.Health()
@@ -599,37 +528,37 @@ func fuzz(ff fuzzFlags) {
 				return nil
 			},
 			Status: func() any {
-				introMu.Lock()
-				eps := append([]core.EpochStats(nil), recentEpochs...)
-				qs := append([]core.QuarantineRecord(nil), recentQuarantine...)
-				introMu.Unlock()
 				return statuszPayload{
 					Mode: modeName, PID: os.Getpid(),
 					Started: started, Now: time.Now(),
 					Health: engine.Health(), Stats: engine.Stats(),
-					Epochs: eps, Quarantine: qs,
+					Epochs: recentEpochs.snapshot(), Quarantine: recentQuarantine.snapshot(),
 				}
 			},
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "p4gauntlet: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "admin: serving /metrics /statusz /healthz /debug/pprof on http://%s\n", admin.Addr())
+		}, 1)
 	}
 
 	// SIGHUP means "checkpoint and flush stats now" — no drain, no pause:
 	// the flag is read by the collector at its next fold boundary and the
-	// run carries on. Ops can snapshot a multi-day serve at will.
+	// run carries on. Ops can snapshot a multi-day serve at will. The
+	// same goroutine writes the periodic stats records.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)
-	hupDone := make(chan struct{})
+	var tick <-chan time.Time // nil (never fires) without a sink or interval
+	if sink != nil && ff.statsInterval > 0 {
+		t := time.NewTicker(ff.statsInterval)
+		defer t.Stop()
+		tick = t.C
+	}
+	signalsDone := make(chan struct{})
 	go func() {
 		for {
 			select {
-			case <-hupDone:
+			case <-signalsDone:
 				return
+			case <-tick:
+				writeJSONL(statsRecord{Stats: engine.Stats()}, "stats")
 			case <-hup:
 				engine.RequestCheckpoint()
 				s := engine.Stats()
@@ -641,24 +570,8 @@ func fuzz(ff fuzzFlags) {
 			}
 		}
 	}()
-	tickerDone := make(chan struct{})
-	if sink != nil && ff.statsInterval > 0 {
-		go func() {
-			tick := time.NewTicker(ff.statsInterval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tickerDone:
-					return
-				case <-tick.C:
-					writeJSONL(statsRecord{Stats: engine.Stats()}, "stats")
-				}
-			}
-		}()
-	}
 	findings := engine.Run(ctx)
-	close(hupDone)
-	close(tickerDone)
+	close(signalsDone)
 	stats := engine.Stats()
 	fmt.Fprintf(human, "\n%s\n", stats.Summary())
 	// Final run record: one JSON line with the full stats snapshot
@@ -669,13 +582,7 @@ func fuzz(ff fuzzFlags) {
 	// Drain the admin listener after the final records: a scraper racing
 	// the shutdown sees either live data or a closed port, never a
 	// half-dead server.
-	if admin != nil {
-		sdCtx, sdCancel := context.WithTimeout(context.Background(), 3*time.Second)
-		if err := admin.Shutdown(sdCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "p4gauntlet: admin shutdown: %v\n", err)
-		}
-		sdCancel()
-	}
+	stopAdmin()
 	if ff.corpusDir != "" {
 		if n, err := engine.Corpus().Save(ff.corpusDir); err != nil {
 			fmt.Fprintf(os.Stderr, "p4gauntlet: corpus save: %v\n", err)

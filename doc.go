@@ -30,10 +30,16 @@
 //   - core.Engine is the streaming, stage-parallel fuzz pipeline:
 //     generate → compile → oracle → fingerprint/dedup → auto-reduce →
 //     report, connected by bounded channels with a worker pool per heavy
-//     stage. context.Context cancellation is plumbed through every stage
-//     and into validate, testgen and reduce; Engine.Stats() is a
-//     lock-cheap atomic snapshot (throughput, per-stage counters, cache
-//     hit rates, interner growth) safe to poll while the engine runs.
+//     stage. Engine.RunLeases only wires the stages; each is its own
+//     method or type (schedule, generate, compile, inspect, the
+//     collector, dedup, shrink, the reporter), every faultable stage body
+//     runs through one supervised-stage runner, and the collector is the
+//     only owner of round state — corpus folds, the one-round-late
+//     oracle barrier, epoch rotation and checkpoints. context.Context
+//     cancellation is plumbed through every stage and into validate,
+//     testgen and reduce; Engine.Stats() is a lock-cheap atomic snapshot
+//     (throughput, per-stage counters, cache hit rates, interner growth)
+//     safe to poll while the engine runs.
 //   - Findings are deduplicated by stable fingerprint — crash and
 //     invalid-transform findings hash (pass, message); miscompilations
 //     and packet mismatches hash (failing pass, alpha-renamed reduced
@@ -297,9 +303,9 @@
 // workers receive all campaign configuration over the wire. Worker loss
 // — connection drop, hang past the lease timeout, kill -9 — returns the
 // lease to pending for re-issue; the coordinator owns the single
-// persist journal/checkpoint, and -resume restores watermark, corpus
-// and journal-seeded dedup so even a coordinator kill -9 re-reports
-// nothing. faultinject.LinkPlan extends deterministic fault injection
+// persist journal/checkpoint, and -resume restores watermark, corpus,
+// lifetime totals (CoordinatorConfig.Resume) and journal-seeded dedup
+// so even a coordinator kill -9 re-reports nothing. faultinject.LinkPlan extends deterministic fault injection
 // to the fleet link (pure (seed, lease) → drop/delay/sever), driving
 // the chaos tests and the fleet_smoke.sh CI job.
 //

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"gauntlet/internal/bugs"
 	"gauntlet/internal/compiler"
@@ -187,30 +186,18 @@ func (c *Campaign) HuntContext(ctx context.Context, b *bugs.Bug) (Detection, err
 		case out.Err != nil:
 			return det, fmt.Errorf("bug %s on %s: %w", b.ID, np.name, out.Err)
 		case out.Crash != nil:
-			det.Detected = true
-			det.Technique = CrashHunt
-			det.Via = np.name
-			det.Detail = fmt.Sprintf("crash in %s: %s", out.Crash.Pass, out.Crash.Msg)
-			return det, nil
+			det.Technique, det.Detail = CrashHunt, fmt.Sprintf("crash in %s: %s", out.Crash.Pass, out.Crash.Msg)
 		case out.Invalid != nil:
-			det.Detected = true
-			det.InvalidTransform = true
-			det.Via = np.name
-			det.Detail = out.Invalid.Error()
-			return det, nil
+			det.InvalidTransform, det.Detail = true, out.Invalid.Error()
 		case len(out.Failures) > 0:
-			det.Detected = true
-			det.Technique = TranslationValidation
-			det.Via = np.name
-			det.Detail = out.Failures[0].String()
-			return det, nil
+			det.Technique, det.Detail = TranslationValidation, out.Failures[0].String()
 		case len(out.Mismatches) > 0:
-			det.Detected = true
-			det.Technique = SymbolicExecution
-			det.Via = np.name
-			det.Detail = out.Mismatches[0]
-			return det, nil
+			det.Technique, det.Detail = SymbolicExecution, out.Mismatches[0]
+		default:
+			continue
 		}
+		det.Detected, det.Via = true, np.name
+		return det, nil
 	}
 	return det, nil
 }
@@ -274,17 +261,12 @@ func (c *Campaign) RunAll() (map[string]Detection, error) {
 	}
 	jobs := make(chan *bugs.Bug)
 	results := make(chan item)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range jobs {
-				det, err := c.Hunt(b)
-				results <- item{id: b.ID, det: det, err: err}
-			}
-		}()
-	}
+	wg := pool(workers, func(int) {
+		for b := range jobs {
+			det, err := c.Hunt(b)
+			results <- item{id: b.ID, det: det, err: err}
+		}
+	})
 	go func() {
 		for _, b := range c.Registry.Bugs {
 			jobs <- b

@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"maps"
 	"math/rand"
 	"runtime"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,14 +204,15 @@ type Lease struct {
 
 // LeaseStats is one lease's outcome digest (observation only).
 type LeaseStats struct {
-	Generated       uint64 `json:"generated"`
-	Crashes         uint64 `json:"crashes"`
-	Miscompilations uint64 `json:"miscompilations"`
-	Mismatches      uint64 `json:"mismatches"`
-	Duplicates      uint64 `json:"duplicates"`
-	ToolErrors      uint64 `json:"tool_errors"`
-	Quarantined     uint64 `json:"quarantined"`
-	ElapsedNs       int64  `json:"elapsed_ns"`
+	Generated         uint64 `json:"generated"`
+	Crashes           uint64 `json:"crashes"`
+	InvalidTransforms uint64 `json:"invalid_transforms"`
+	Miscompilations   uint64 `json:"miscompilations"`
+	Mismatches        uint64 `json:"mismatches"`
+	Duplicates        uint64 `json:"duplicates"`
+	ToolErrors        uint64 `json:"tool_errors"`
+	Quarantined       uint64 `json:"quarantined"`
+	ElapsedNs         int64  `json:"elapsed_ns"`
 }
 
 // EngineConfig parameterizes one streaming fuzzing run.
@@ -320,8 +318,6 @@ type EngineConfig struct {
 	// OnEpoch, when set, receives the retiring epoch's snapshot at each
 	// rotation (called from the collector goroutine).
 	OnEpoch func(EpochStats)
-	// QueueDepth bounds each inter-stage channel (0 = 2×Workers).
-	QueueDepth int
 	// OnFinding, when set, streams each unique finding as the report
 	// stage emits it (called from the engine's reporting goroutine).
 	OnFinding func(Finding)
@@ -672,13 +668,10 @@ type epochState struct {
 }
 
 // NewEngine builds an engine, filling config defaults (worker count,
-// pipeline for the backend, cache, queue depth).
+// pipeline for the backend, cache).
 func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 2 * cfg.Workers
 	}
 	if cfg.MaxConflicts == 0 {
 		cfg.MaxConflicts = 20000
@@ -1051,121 +1044,6 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// unit is a program moving between the generate, compile and oracle
-// stages. prof is the AST coverage profile when the generate stage
-// already computed one (mutants profile themselves for the novelty
-// check); the compile stage fills it in otherwise.
-type unit struct {
-	seed    int64
-	lease   *leaseRun
-	prog    *ast.Program
-	res     *compiler.Result
-	prof    *coverage.Profile
-	mutated bool
-	// baseID is the corpus seed the program was mutated from (-1 for
-	// fresh generation): the dynamic-energy feedback target.
-	baseID int
-	// prov is the provenance trace under construction: each stage fills
-	// its fields in, and whichever stage produces a finding attaches the
-	// pointer. A unit produces at most one
-	// finding (crash-family XOR oracle), so the pointer is never shared
-	// between two findings.
-	prov *Provenance
-}
-
-// task is one scheduled program slot: fresh grammar generation from the
-// slot seed, or mutation of corpus seeds under a slot-derived rand stream.
-// Tasks are pure values — a task replayed on any worker produces the same
-// program.
-type task struct {
-	slot        int64
-	lease       *leaseRun
-	mutate      bool
-	base, donor *corpus.Seed
-	rngSeed     int64
-}
-
-// leaseRun is a lease in flight: its place in the run's round sequence
-// and its lease-scoped outcome state.
-type leaseRun struct {
-	Lease
-	round0   int64 // run-wide index of the lease's first round
-	start    time.Time
-	findings []Finding
-	// tally is the stats digest: stage workers bump it with atomic adds,
-	// which all happen before the lease's end marker reaches the report.
-	tally LeaseStats
-}
-
-// record is a slot report flowing to the admission collector. Each
-// scheduled slot sends exactly one coverage report (cancellation aside),
-// including slots that failed before compiling, which report a nil prof
-// that counts the fold but is never admitted. astFP is the profile's
-// fingerprint before pass-trace edges were folded in — the novelty key
-// the mutation pre-filter tests against.
-//
-// Each unit the compile stage forwarded also sends one oracle verdict
-// report (oracle set), quarantined and errored units included, with a
-// nil finding so the barrier still counts them. Oracle findings
-// (miscompilations, mismatches) surface after their own round has
-// already folded, so both their energy and their candidate programs fold
-// one round late — at the next boundary, in canonical slot order —
-// preserving -seed replay and worker-count determinism.
-type record struct {
-	slot   int64
-	lease  *leaseRun
-	oracle bool
-	prog   *ast.Program
-	prof   *coverage.Profile
-	astFP  uint64
-	// baseID is the mutation base's corpus seed ID (-1 = fresh
-	// generation) and crashed whether the program produced a
-	// crash/invalid-transform finding at the compile stage — the two
-	// deterministic inputs to the energy fold.
-	baseID  int
-	crashed bool
-	// toOracle marks a unit forwarded to the oracle stage: the collector
-	// counts these per round so the one-round-late oracle-energy fold
-	// knows when a round's oracle verdicts are complete.
-	toOracle bool
-	// finding carries the slot's candidate, if any. Candidates ride the
-	// records instead of a free-running channel so the collector can
-	// release them in canonical (round, slot) order — which concrete
-	// program represents a deduplicated fingerprint, and hence the
-	// reduced witness bytes, must not depend on worker interleaving.
-	finding *Finding
-}
-
-// Dynamic-energy bump fractions (of a seed's admission energy), folded
-// at round boundaries: a mutant earning corpus admission is mild
-// evidence its base is productive; a mutant producing a finding —
-// compile-stage or oracle-stage — is strong evidence. Compile-stage
-// findings fold with their own round's admissions; oracle-stage findings
-// (miscompilations, mismatches) surface after that fold has passed, so
-// they fold one round late, at the next boundary, behind their own
-// completeness barrier (see record).
-const (
-	admissionBump = 0.5
-	findingBump   = 1.0
-)
-
-// mix derives a per-slot rand seed from the master schedule seed
-// (splitmix64-style finalizer, so adjacent slots decorrelate).
-func mix(seed, slot int64) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(slot+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
-}
-
-// originOf renders a unit's provenance for Finding.Origin.
-func originOf(mutated bool) string {
-	if mutated {
-		return "mutate"
-	}
-	return "generate"
-}
-
 // materialize turns a task into a program. Mutation tasks retry a few
 // draws, cheaply rejecting ill-typed mutants with the type checker — the
 // oracle only ever sees programs that type-check — and behaviourally
@@ -1201,792 +1079,6 @@ func (e *Engine) materialize(t task) (*ast.Program, *coverage.Profile, []string,
 		}
 	}
 	return e.cfg.Generate(t.slot), nil, nil, false
-}
-
-// Run executes the pipeline until the seed range is exhausted or ctx is
-// cancelled, and returns the unique findings (deduplicated by fingerprint,
-// reduced when enabled). It is the one-lease case of RunLeases: the lease
-// is [StartSeed, StartSeed+Seeds) over the engine's corpus. It is safe to
-// poll Stats concurrently; Run itself must not be called twice on one
-// Engine.
-func (e *Engine) Run(ctx context.Context) []Finding {
-	taken := false
-	return e.RunLeases(ctx, func() (Lease, bool) {
-		ok := !taken
-		taken = true
-		return Lease{Start: e.cfg.StartSeed, Count: e.cfg.Seeds, CampaignStart: e.cfg.StartSeed, Corpus: e.corpus}, ok
-	})
-}
-
-// RunLeases executes the pipeline over a stream of leases. The scheduler
-// calls next whenever it needs more slots, so lease N+1 generates and
-// compiles while lease N's oracle tail and reductions drain. A lease with
-// a Done hook reports through it; the unique findings of leases without
-// one are returned. RunLeases returns once next reports no further lease
-// and every lease taken has completed, or ctx is cancelled. Like Run, it
-// must be called at most once per Engine.
-func (e *Engine) RunLeases(ctx context.Context, next func() (Lease, bool)) []Finding {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	e.startNano.Store(time.Now().UnixNano())
-	// Liveness baseline: a run that has not folded its first round yet is
-	// "in progress since start", not wedged.
-	e.lastFoldNano.Store(time.Now().UnixNano())
-	defer func() { e.endNano.Store(time.Now().UnixNano()) }()
-
-	workers := e.cfg.Workers
-	qd := e.cfg.QueueDepth
-	genCh := make(chan unit, qd)  // generate → compile
-	compCh := make(chan unit, qd) // compile → oracle
-	candCh := make(chan Finding, qd)
-	redCh := make(chan Finding, qd)
-	outCh := make(chan Finding, qd)
-
-	// Stage 1a: schedule. A single goroutine decides, slot by slot,
-	// whether the program comes from fresh grammar generation or from
-	// mutating corpus seeds, all under the master Seed's rand stream.
-	// Mutation decisions for a round draw only on the corpus as of the
-	// previous round's fold (stage 1c), so the schedule — and with it the
-	// finding set and the final corpus — is a pure function of the
-	// configuration, independent of worker count and channel interleaving.
-	roundSize := int64(e.cfg.SyncInterval)
-	taskCh := make(chan task, qd)
-	recCh := make(chan record, qd)
-	// foldCh carries "round folded" signals from the collector to the
-	// scheduler. At most one signal is ever outstanding (the scheduler
-	// consumes fold r before emitting round r+1, and fold r+1 cannot
-	// complete before round r+1 is fully emitted), so capacity 1 with a
-	// non-blocking send never drops.
-	foldCh := make(chan struct{}, 1)
-	// The first lease is taken before any stage starts; each later one
-	// once the current lease's last slot is handed on, so it overlaps the
-	// current lease's drain.
-	ls, more := next()
-	go func() {
-		defer close(taskCh)
-		round := int64(0) // run-wide index of the next round to start
-		for ; more; ls, more = next() {
-			l := &leaseRun{Lease: ls, round0: round, start: time.Now()}
-			// A fresh schedule stream per lease keeps each lease a pure
-			// function of the configuration and its own slots (only
-			// mutation draws from it).
-			var sched *rand.Rand
-			if e.cfg.MutateRatio > 0 {
-				sched = rand.New(rand.NewSource(e.cfg.Seed))
-			}
-			for i := int64(0); l.Count <= 0 || i < l.Count; i++ {
-				if i%roundSize == 0 {
-					if round > 0 && e.cfg.MutateRatio > 0 {
-						select {
-						case <-foldCh:
-						case <-ctx.Done():
-							return
-						}
-					}
-					round++
-				}
-				slot := l.Start + i
-				t := task{slot: slot, lease: l, rngSeed: mix(e.cfg.Seed, slot)}
-				if e.cfg.MutateRatio > 0 && sched.Float64() < e.cfg.MutateRatio {
-					t.base = l.Corpus.Select(sched)
-					t.donor = l.Corpus.Select(sched)
-					t.mutate = t.base != nil
-				}
-				if !send(ctx, taskCh, t) {
-					return
-				}
-				if i == 0 && l.Started != nil {
-					l.Started()
-				}
-			}
-		}
-	}()
-	// Yield once, so the first slot is handed on before the stage
-	// workers below spin up.
-	runtime.Gosched()
-
-	// Stage 1b: generate/mutate. Workers materialize tasks — grammar
-	// generation or corpus mutation plus the cheap type-check gate — in
-	// parallel; each task is a pure value, so parallelism cannot perturb
-	// the schedule.
-	var genWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		genWG.Add(1)
-		go func() {
-			defer genWG.Done()
-			for t := range taskCh {
-				if ctx.Err() != nil {
-					return // draining: start no new program
-				}
-				u := unit{seed: t.slot, lease: t.lease, baseID: -1}
-				var names []string
-				genStart := time.Now()
-				err, fault, cancelled := supervise(ctx, e.cfg.StageTimeout, func() error {
-					if err := e.injectFault(ctx, "generate", t.slot); err != nil {
-						return err
-					}
-					u.prog, u.prof, names, u.mutated = e.materialize(t)
-					return nil
-				})
-				if cancelled {
-					return
-				}
-				// Latency is measured around supervise, in this goroutine:
-				// an abandoned stalled closure may still be writing, so
-				// nothing it touches is read on the fault path.
-				genElapsed := time.Since(genStart)
-				if m := e.metrics; m != nil {
-					m.stageDur[stageGenerate].ObserveShard(w, genElapsed)
-				}
-				e.generated.Add(1)
-				switch {
-				case fault != nil:
-					e.quarantine(t.lease, "generate", t.slot, originOf(t.mutate), nil, fault)
-				case err != nil:
-					// Injected/stage error: a tool limitation, not a bug.
-					e.toolError(t.lease, &e.compileErrors, t.slot, err)
-				default:
-					if u.mutated {
-						e.mutated.Add(1)
-						u.baseID = t.base.ID
-					}
-					u.prov = &Provenance{
-						Slot:       t.slot,
-						Round:      (t.slot - t.lease.CampaignStart) / roundSize,
-						Origin:     originOf(u.mutated),
-						Mutations:  names,
-						GenerateNs: genElapsed.Nanoseconds(),
-					}
-					if !send(ctx, genCh, u) {
-						return
-					}
-					continue
-				}
-				// The program is lost, but the round-fold barrier counts
-				// slots: the slot's record goes straight to the collector.
-				if !send(ctx, recCh, record{slot: t.slot, lease: t.lease, baseID: -1}) {
-					return
-				}
-			}
-		}()
-	}
-	go func() { genWG.Wait(); close(genCh) }()
-
-	// Stage 1c: collect coverage and fold corpus admissions. Records
-	// buffer per round and fold in canonical slot order once the round is
-	// complete, so admission — which is order-sensitive (a program is
-	// admitted only if it still adds coverage) — is identical on any
-	// worker count.
-	collectorDone := make(chan struct{})
-	go func() {
-		defer close(collectorDone)
-		// The collector is the sole producer of finding candidates: it
-		// releases them to dedup in canonical (round, slot) order at fold
-		// boundaries, so the candidate sequence — and with it which
-		// concrete program represents each deduplicated fingerprint — is
-		// a pure function of the schedule.
-		defer close(candCh)
-		live := true
-		release := func(f *Finding) {
-			if f == nil || !live {
-				return
-			}
-			if !send(ctx, candCh, *f) {
-				live = false // cancelled: stop releasing, keep folding
-			}
-		}
-		pending := map[int64][]record{}
-		// One-round-late oracle energy: round r's admission fold also
-		// requires round r-1's oracle verdicts (counted at r-1's own fold
-		// via toOracle) to be complete, and applies their finding bumps —
-		// slot-sorted — before r's admissions. Oracle verdicts of a lease's
-		// last round have no following fold in the lease and their energy
-		// is dropped; that too is a pure function of the schedule.
-		pendingOr := map[int64][]record{}
-		oracleExpected := map[int64]int{}
-		oracleIn := func(round int64) bool {
-			exp, folded := oracleExpected[round]
-			return folded && len(pendingOr[round]) >= exp
-		}
-		releaseOracle := func(round int64, bump bool) {
-			ors := pendingOr[round]
-			delete(pendingOr, round)
-			delete(oracleExpected, round)
-			sort.Slice(ors, func(i, j int) bool { return ors[i].slot < ors[j].slot })
-			for _, o := range ors {
-				if bump && o.finding != nil && o.baseID >= 0 {
-					o.lease.Corpus.BumpEnergy(o.baseID, findingBump)
-				}
-				release(o.finding)
-			}
-		}
-		next := int64(0)
-		// closing is the lease whose last round (next-1) has folded and
-		// whose end marker is still to be released.
-		var closing *leaseRun
-		lastCheckpoint := uint64(0)
-		for rec := range recCh {
-			round := rec.lease.round0 + (rec.slot-rec.lease.Start)/roundSize
-			if rec.oracle {
-				pendingOr[round] = append(pendingOr[round], rec)
-			} else {
-				pending[round] = append(pending[round], rec)
-			}
-			for {
-				if closing != nil {
-					if !oracleIn(next - 1) {
-						break // the lease's last oracle verdicts still in flight
-					}
-					// The lease is complete: its last candidates, then its
-					// end marker, ahead of anything from the next lease.
-					releaseOracle(next-1, false)
-					release(&Finding{lease: closing, end: true})
-					closing = nil
-				}
-				recs := pending[next]
-				if len(recs) == 0 {
-					break
-				}
-				l := recs[0].lease
-				exp, last := l.Count-(next-l.round0)*roundSize, true
-				if l.Count <= 0 || exp > roundSize {
-					exp, last = roundSize, false
-				}
-				if int64(len(recs)) < exp {
-					break
-				}
-				if next > l.round0 {
-					if !oracleIn(next - 1) {
-						break // previous round's oracle verdicts still in flight
-					}
-					releaseOracle(next-1, true)
-				}
-				delete(pending, next)
-				sort.Slice(recs, func(i, j int) bool { return recs[i].slot < recs[j].slot })
-				nOracle := 0
-				for _, rc := range recs {
-					if rc.toOracle {
-						nOracle++
-					}
-					release(rc.finding)
-					if rc.prof == nil {
-						// Quarantined or errored before profiling: the
-						// record exists only to count the fold.
-						continue
-					}
-					l.Corpus.RecordProgram(rc.astFP)
-					admitted := l.Corpus.Add(rc.prog, rc.prof)
-					// Dynamic energy: reward the mutation base whose
-					// mutant earned admission or found a compile-stage
-					// bug — folded here, in canonical slot order, so
-					// scheduling stays replayable under cfg.Seed.
-					if rc.baseID >= 0 {
-						bump := 0.0
-						if admitted {
-							bump += admissionBump
-						}
-						if rc.crashed {
-							bump += findingBump
-						}
-						l.Corpus.BumpEnergy(rc.baseID, bump)
-					}
-				}
-				e.programsFolded.Add(uint64(len(recs)))
-				// Liveness heartbeat: wall-clock only, feeds Health, never
-				// a scheduling decision.
-				e.lastFoldNano.Store(time.Now().UnixNano())
-				oracleExpected[next] = nOracle
-				if last {
-					closing = l
-				}
-				next++
-				// Epoch rotation shares the admission fold's
-				// determinism: it fires at the first fold boundary at or
-				// past EpochPrograms, a pure function of the schedule.
-				if e.cfg.EpochPrograms > 0 {
-					ep := e.epoch.Load()
-					if e.programsFolded.Load()-ep.startPrograms >= uint64(e.cfg.EpochPrograms) {
-						e.rotateEpoch()
-					}
-				}
-				// Checkpoints fire only here, from the sole corpus-mutating
-				// goroutine, at a fold boundary: the snapshot is a
-				// consistent (corpus, watermark) pair — every slot below
-				// the watermark folded, none above it.
-				if e.cfg.OnCheckpoint != nil {
-					folded := e.programsFolded.Load()
-					fire := e.checkpointReq.Swap(false)
-					if e.cfg.CheckpointPrograms > 0 &&
-						folded-lastCheckpoint >= uint64(e.cfg.CheckpointPrograms) {
-						fire = true
-					}
-					if fire {
-						lastCheckpoint = folded
-						e.cfg.OnCheckpoint(e.cfg.StartSeed + int64(folded))
-					}
-				}
-				if e.cfg.MutateRatio > 0 {
-					select {
-					case foldCh <- struct{}{}:
-					default:
-					}
-				}
-			}
-		}
-		// Tail release, reached by cancelled runs only: the oracle
-		// candidates that did arrive for folded rounds still surface, in
-		// (round, slot) order. An unfolded round sits above the checkpoint
-		// watermark and is reprocessed on resume, so dropping its partial
-		// candidates keeps bounded runs deterministic.
-		for _, round := range slices.Sorted(maps.Keys(pendingOr)) {
-			if round < next {
-				releaseOracle(round, false)
-			}
-		}
-		// Shutdown checkpoint: recCh is closed, so every fold that will
-		// happen has happened and the watermark is final. A graceful
-		// drain thus resumes exactly where it stopped; only a hard kill
-		// falls back to the last periodic checkpoint and reprocesses the
-		// gap (at-least-once, deduplicated by the journal).
-		if e.cfg.OnCheckpoint != nil {
-			if folded := e.programsFolded.Load(); folded > lastCheckpoint {
-				e.cfg.OnCheckpoint(e.cfg.StartSeed + int64(folded))
-			}
-		}
-	}()
-
-	// Stage 2: compile. Crash and invalid-transform candidates ride the
-	// coverage record to the collector, which releases them to dedup at
-	// the round's fold in slot order; clean compilations flow to the
-	// oracle stage. Every unit also reports its coverage profile — AST
-	// features plus the pass trace (or a crash/invalid edge) — to the
-	// admission collector.
-	var compWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		compWG.Add(1)
-		go func() {
-			defer compWG.Done()
-			for u := range genCh {
-				var out Outcome
-				var prof *coverage.Profile
-				var astFP uint64
-				compStart := time.Now()
-				err, fault, cancelled := supervise(ctx, e.cfg.StageTimeout, func() error {
-					if err := e.injectFault(ctx, "compile", u.seed); err != nil {
-						return err
-					}
-					out = e.oracle.Compile(u.prog)
-					prof = u.prof
-					if prof == nil {
-						prof = coverage.OfProgram(u.prog)
-					}
-					astFP = prof.Fingerprint()
-					switch {
-					case out.Crash != nil:
-						prof.AddPassCrash(out.Crash.Pass)
-					case out.Invalid != nil:
-						prof.AddPassInvalid(out.Invalid.Pass)
-					case out.Err == nil:
-						prof.AddTrace(out.Result.Trace)
-					}
-					return out.Err
-				})
-				if cancelled {
-					return
-				}
-				compElapsed := time.Since(compStart)
-				if m := e.metrics; m != nil {
-					m.stageDur[stageCompile].ObserveShard(w, compElapsed)
-				}
-				if fault != nil {
-					e.quarantine(u.lease, "compile", u.seed, originOf(u.mutated), u.prog, fault)
-					if !send(ctx, recCh, record{slot: u.seed, lease: u.lease, baseID: -1}) {
-						return
-					}
-					continue
-				}
-				u.prov.CompileNs = compElapsed.Nanoseconds()
-				if err != nil {
-					// fn returns out.Err, so this only rewrites it when the
-					// error was injected before compilation produced one.
-					out.Err = err
-				}
-				rec := record{
-					slot: u.seed, lease: u.lease, prog: u.prog, prof: prof, astFP: astFP,
-					baseID:   u.baseID,
-					crashed:  out.Crash != nil || out.Invalid != nil,
-					toOracle: out.Err == nil && out.Crash == nil && out.Invalid == nil,
-				}
-				// Crash-family candidates ride the coverage record: the
-				// collector releases them at the round's fold, in slot
-				// order, so dedup sees a worker-count-independent sequence.
-				switch {
-				case out.Crash != nil:
-					e.crashes.Add(1)
-					atomic.AddUint64(&u.lease.tally.Crashes, 1)
-					rec.finding = &Finding{
-						Kind: FindingCrash, Seed: u.seed, Backend: e.cfg.Backend.String(), lease: u.lease,
-						Pass:       out.Crash.Pass,
-						Detail:     fmt.Sprintf("crash in %s: %s", out.Crash.Pass, out.Crash.Msg),
-						Origin:     originOf(u.mutated),
-						Program:    u.prog,
-						Provenance: u.prov,
-						crashMsg:   out.Crash.Msg,
-					}
-				case out.Invalid != nil:
-					e.invalids.Add(1)
-					rec.finding = &Finding{
-						Kind: FindingInvalidTransform, Seed: u.seed, Backend: e.cfg.Backend.String(), lease: u.lease,
-						Pass:       out.Invalid.Pass,
-						Detail:     out.Invalid.Error(),
-						Origin:     originOf(u.mutated),
-						Program:    u.prog,
-						Provenance: u.prov,
-						crashMsg:   out.Invalid.Error(),
-					}
-				}
-				if !send(ctx, recCh, rec) {
-					return
-				}
-				switch {
-				case out.Err != nil:
-					e.toolError(u.lease, &e.compileErrors, u.seed, out.Err)
-				case out.Crash != nil, out.Invalid != nil:
-					// The candidate travelled with the record above.
-				default:
-					e.compiled.Add(1)
-					u.res = out.Result
-					if !send(ctx, compCh, u) {
-						return
-					}
-				}
-			}
-		}()
-	}
-	go func() { compWG.Wait(); close(compCh) }()
-
-	// Stage 3: oracle (translation validation + packet tests).
-	var oracleWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		oracleWG.Add(1)
-		go func() {
-			defer oracleWG.Done()
-			for u := range compCh {
-				out := Outcome{Result: u.res}
-				// Per-unit oracle copy (InspectLadder copies again for its
-				// ladder rungs anyway): the QueryObs hook accumulates this
-				// unit's resolution-tier counts for provenance. The tiers
-				// map is goroutine-private — queries run sequentially inside
-				// one inspection — and is read only on the success path,
-				// never after a fault abandons the closure.
-				oc := *e.oracle
-				var tiers map[string]uint64
-				oc.QueryObs = func(tier string, d time.Duration) {
-					if tiers == nil {
-						tiers = make(map[string]uint64, 4)
-					}
-					tiers[tier]++
-					if m := e.metrics; m != nil {
-						m.observeQuery(tier, d)
-					}
-				}
-				oracleStart := time.Now()
-				err, fault, cancelled := supervise(ctx, e.cfg.StageTimeout, func() error {
-					if err := e.injectFault(ctx, "oracle", u.seed); err != nil {
-						return err
-					}
-					oc.InspectLadder(ctx, &out)
-					return nil
-				})
-				if cancelled {
-					return
-				}
-				oracleElapsed := time.Since(oracleStart)
-				if m := e.metrics; m != nil {
-					m.stageDur[stageOracle].ObserveShard(w, oracleElapsed)
-				}
-				// Every unit reports exactly one oracle record — finding or not,
-				// quarantined or not — so the collector's one-round-late
-				// energy barrier can count a round's oracle verdicts
-				// complete. Candidates ride the record and are released by
-				// the collector one round late, in slot order.
-				var cand *Finding
-				if fault != nil {
-					// Do not touch out: an abandoned (stalled) invocation
-					// may still be writing it. Quarantine on the unit's
-					// identity alone.
-					e.quarantine(u.lease, "oracle", u.seed, originOf(u.mutated), u.prog, fault)
-					if !send(ctx, recCh, record{slot: u.seed, lease: u.lease, oracle: true, baseID: u.baseID}) {
-						return
-					}
-					continue
-				}
-				if err != nil {
-					out = Outcome{Result: u.res, Err: err}
-				}
-				u.prov.OracleNs = oracleElapsed.Nanoseconds()
-				u.prov.QueryTiers = tiers
-				if out.Unknowns > 0 {
-					e.unknownVerdicts.Add(uint64(out.Unknowns))
-				}
-				if out.Retried {
-					e.oracleRetries.Add(1)
-				}
-				switch {
-				case out.TimedOut:
-					// The escalation ladder bottomed out: an explicit
-					// weakened verdict, quarantined for offline triage.
-					e.timeouts.Add(1)
-					e.quarantineTimeout(u.lease, u.seed, originOf(u.mutated), u.prog)
-				case out.Err != nil:
-					if ctx.Err() != nil {
-						return
-					}
-					e.toolError(u.lease, &e.oracleErrors, u.seed, out.Err)
-				case len(out.Failures) > 0:
-					e.miscompiles.Add(1)
-					atomic.AddUint64(&u.lease.tally.Miscompilations, 1)
-					cand = &Finding{
-						Kind: FindingMiscompilation, Seed: u.seed, Backend: e.cfg.Backend.String(), lease: u.lease,
-						Pass:       out.Failures[0].PassB,
-						Detail:     out.Failures[0].String(),
-						Origin:     originOf(u.mutated),
-						Program:    u.prog,
-						Provenance: u.prov,
-						cex:        out.Failures[0].Counterexample,
-					}
-				case len(out.Mismatches) > 0:
-					e.mismatches.Add(1)
-					atomic.AddUint64(&u.lease.tally.Mismatches, 1)
-					cand = &Finding{
-						Kind: FindingMismatch, Seed: u.seed, Backend: e.cfg.Backend.String(), lease: u.lease,
-						Detail:     out.Mismatches[0],
-						Origin:     originOf(u.mutated),
-						Program:    u.prog,
-						Provenance: u.prov,
-					}
-					if len(out.MismatchCases) > 0 {
-						mc := out.MismatchCases[0]
-						cand.replay = &mc
-					}
-				default:
-					e.clean.Add(1)
-				}
-				if !send(ctx, recCh, record{slot: u.seed, lease: u.lease, oracle: true, baseID: u.baseID, finding: cand}) {
-					return
-				}
-			}
-		}()
-	}
-	go func() { compWG.Wait(); oracleWG.Wait(); close(recCh) }()
-
-	// known seeds each lease's dedup sets (the resume path).
-	known := func() map[uint64]bool {
-		seen := make(map[uint64]bool, len(e.cfg.KnownFindings))
-		for _, fp := range e.cfg.KnownFindings {
-			seen[fp] = true
-		}
-		return seen
-	}
-
-	// Stage 4: fingerprint/dedup. Crash-family findings have stable
-	// fingerprints before reduction, so duplicates are dropped here and
-	// never reach the (expensive) reducer. Semantic findings are
-	// fingerprinted by their *reduced* witness, so they dedup in the
-	// report stage instead — capped per (kind, pass) so one hot defect
-	// firing on most seeds cannot turn the pipeline into a reducer farm.
-	// Candidates arrive from the collector in canonical (round, slot)
-	// order, so the program that wins each fingerprint — the one that
-	// gets reduced and printed — is deterministic; each survivor is
-	// stamped with its position so the report stage can re-sequence
-	// findings after parallel reduction scrambles completion order.
-	go func() {
-		defer close(redCh)
-		seen, perPass := known(), map[string]int{}
-		order := int64(0)
-		for f := range candCh {
-			if f.end {
-				// Lease boundary: crash dedup and the per-pass reduction
-				// caps are lease-scoped. The marker skips the reducers;
-				// its stamp alone sequences it behind its lease's findings.
-				seen, perPass = known(), map[string]int{}
-				f.order = order
-				order++
-				if !send(ctx, outCh, f) {
-					return
-				}
-				continue
-			}
-			var dedupStart time.Time
-			if e.metrics != nil {
-				dedupStart = time.Now()
-			}
-			dup := false
-			if f.Kind == FindingCrash || f.Kind == FindingInvalidTransform {
-				f.Fingerprint = crashFingerprint(f.Kind, f.Pass, f.crashMsg)
-				if seen[f.Fingerprint] {
-					dup = true
-				} else {
-					seen[f.Fingerprint] = true
-				}
-			} else {
-				key := fmt.Sprintf("%d\x00%s", f.Kind, f.Pass)
-				if perPass[key] >= e.cfg.MaxReducePerPass {
-					dup = true
-				} else {
-					perPass[key]++
-				}
-			}
-			if m := e.metrics; m != nil {
-				// Classification only; the (blocking) handoff to the
-				// reducer is backpressure, not dedup latency.
-				m.stageDur[stageDedup].Observe(time.Since(dedupStart))
-			}
-			if dup {
-				e.duplicates.Add(1)
-				atomic.AddUint64(&f.lease.tally.Duplicates, 1)
-				continue
-			}
-			f.order = order
-			order++
-			if !send(ctx, redCh, f) {
-				return
-			}
-		}
-	}()
-
-	// Stage 5: auto-reduce. Each unique finding is shrunk with a
-	// predicate that re-runs the oracle on every candidate.
-	var redWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		redWG.Add(1)
-		go func() {
-			defer redWG.Done()
-			for f := range redCh {
-				var got Finding
-				reduceStart := time.Now()
-				err, fault, cancelled := supervise(ctx, e.cfg.StageTimeout, func() error {
-					if err := e.injectFault(ctx, "reduce", f.Seed); err != nil {
-						return err
-					}
-					got = e.reduceFinding(ctx, f)
-					return nil
-				})
-				if cancelled {
-					return
-				}
-				if m := e.metrics; m != nil {
-					m.stageDur[stageReduce].ObserveShard(w, time.Since(reduceStart))
-				}
-				out := f
-				if err == nil && fault == nil {
-					out = got
-				} else {
-					// The finding is real — only its shrink failed. Emit
-					// the unreduced witness (ReduceContext never mutates
-					// its input, so f.Program is intact even after an
-					// abandoned stall) and quarantine the fault.
-					if fault != nil {
-						e.quarantine(f.lease, "reduce", f.Seed, f.Origin, f.Program, fault)
-					} else {
-						e.toolError(f.lease, &e.oracleErrors, f.Seed, err)
-					}
-					if f.Program != nil {
-						out.SizeBefore = reduce.Size(f.Program)
-						out.SizeAfter = out.SizeBefore
-					}
-				}
-				if !send(ctx, outCh, out) {
-					return
-				}
-			}
-		}()
-	}
-	go func() { redWG.Wait(); close(outCh) }()
-
-	// Stage 6: report. Final fingerprints (semantic findings key on the
-	// reduced witness), final dedup, streaming callback. Reduced findings
-	// complete in whatever order their reductions finish; re-sequencing
-	// by the dedup stamp makes the final dedup — and the report/journal
-	// order — deterministic again. The buffer is bounded by the number of
-	// findings in flight through the reducer pool. A lease's end marker
-	// arrives in sequence after its last finding: the lease is complete.
-	var findings []Finding
-	seen := known()
-	report := func(f Finding) {
-		l := f.lease
-		if f.end {
-			if l.Done != nil && ctx.Err() == nil {
-				st := l.tally
-				st.Generated = uint64(l.Count) // every slot of a completed lease
-				st.ElapsedNs = time.Since(l.start).Nanoseconds()
-				l.Done(l.findings, st)
-			}
-			seen = known()
-			return
-		}
-		if f.Kind == FindingMiscompilation || f.Kind == FindingMismatch {
-			f.Fingerprint = semanticFingerprint(f.Kind, f.Pass, f.Program)
-		}
-		if seen[f.Fingerprint] {
-			e.duplicates.Add(1)
-			atomic.AddUint64(&l.tally.Duplicates, 1)
-			return
-		}
-		seen[f.Fingerprint] = true
-		e.unique.Add(1)
-		if f.Program != nil {
-			f.Source = printer.Print(f.Program)
-		}
-		if e.cfg.OnFinding != nil {
-			e.cfg.OnFinding(f)
-		}
-		if l.Done != nil {
-			l.findings = append(l.findings, f)
-		} else {
-			findings = append(findings, f)
-		}
-	}
-	reorder := map[int64]Finding{}
-	nextOrder := int64(0)
-	for f := range outCh {
-		reorder[f.order] = f
-		for {
-			g, ok := reorder[nextOrder]
-			if !ok {
-				break
-			}
-			delete(reorder, nextOrder)
-			nextOrder++
-			report(g)
-		}
-	}
-	// A cancelled reducer leaves a gap in the sequence; findings past it
-	// stay buffered and are dropped here — the run is aborting anyway.
-	// Let the collector fold the final round before Run returns, so the
-	// corpus callers see (save, fingerprint sets) is the finished one.
-	<-collectorDone
-	return findings
-}
-
-// send delivers v unless the context is cancelled first.
-func send[T any](ctx context.Context, ch chan<- T, v T) bool {
-	select {
-	case ch <- v:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// toolError counts one tool limitation (a compile- or oracle-stage error,
-// not a bug) in the engine and lease tallies and reports it.
-func (e *Engine) toolError(l *leaseRun, counter *atomic.Uint64, seed int64, err error) {
-	counter.Add(1)
-	atomic.AddUint64(&l.tally.ToolErrors, 1)
-	if e.cfg.OnOracleError != nil {
-		e.cfg.OnOracleError(seed, err)
-	}
 }
 
 // reduceFinding shrinks a finding's witness while the oracle keeps

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 
 	"gauntlet/internal/p4/ast"
@@ -121,12 +120,21 @@ func safePrint(prog *ast.Program) (src string) {
 	return printer.Print(prog)
 }
 
+// job is one unit's identity in a stage: everything a quarantine record
+// needs, fixed before the stage body runs.
+type job struct {
+	stage  int
+	lease  *leaseRun
+	slot   int64
+	origin string
+	prog   *ast.Program
+}
+
 // quarantine accounts one contained fault and hands the record to the
 // configured sink (called from the faulting stage's worker goroutine; the
 // sink must be concurrency-safe).
-func (e *Engine) quarantine(l *leaseRun, stage string, seed int64, origin string, prog *ast.Program, f *stageFault) {
-	e.quarantined.Add(1)
-	atomic.AddUint64(&l.tally.Quarantined, 1)
+func (e *Engine) quarantine(j job, f *stageFault) {
+	bump(&e.quarantined, &j.lease.tally.Quarantined)
 	if f.kind == "stall" {
 		e.stalls.Add(1)
 	}
@@ -134,23 +142,13 @@ func (e *Engine) quarantine(l *leaseRun, stage string, seed int64, origin string
 		return
 	}
 	e.cfg.OnQuarantine(QuarantineRecord{
-		Stage:   stage,
-		Seed:    seed,
+		Stage:   stageNames[j.stage],
+		Seed:    j.slot,
 		Kind:    f.kind,
 		Symptom: f.symptom,
-		Origin:  origin,
-		Source:  safePrint(prog),
+		Origin:  j.origin,
+		Source:  safePrint(j.prog),
 		Stack:   f.stack,
-	})
-}
-
-// quarantineTimeout accounts an oracle that exhausted its escalation
-// ladder (full verdict → doubled-budget retry → Unknown) as a quarantine
-// of kind "timeout".
-func (e *Engine) quarantineTimeout(l *leaseRun, seed int64, origin string, prog *ast.Program) {
-	e.quarantine(l, "oracle", seed, origin, prog, &stageFault{
-		kind:    "timeout",
-		symptom: fmt.Sprintf("oracle exceeded %v wall-clock budget twice (retry at 2x included)", e.oracle.Timeout),
 	})
 }
 

@@ -42,12 +42,12 @@ type CoordinatorConfig struct {
 	State *persist.State
 	// KnownFindings pre-seeds fleet-wide dedup (the resume path).
 	KnownFindings []uint64
-	// ResumeWatermark skips leases wholly below this slot (the resumed
-	// checkpoint's NextSlot).
-	ResumeWatermark int64
-	// Corpus is the master corpus deltas fold into (nil = fresh, sized
-	// Run.MaxCorpus).
-	Corpus *corpus.Corpus
+	// Resume, when set, continues the campaign from this checkpoint of an
+	// earlier incarnation: leases wholly below its NextSlot are skipped,
+	// its corpus snapshot is the master corpus deltas fold into (nil = a
+	// fresh corpus sized Run.MaxCorpus), and its totals carry forward
+	// into every later checkpoint.
+	Resume *persist.Checkpoint
 	// Obs, when set, receives the fleet gauges and per-worker lease
 	// latency histograms.
 	Obs *obs.Registry
@@ -90,7 +90,9 @@ type Coordinator struct {
 	findings   []core.Finding
 	duplicates uint64
 	totals     core.LeaseStats
-	relErr     error
+	// base is the lifetime totals of earlier incarnations (Resume).
+	base   persist.Totals
+	relErr error
 
 	workers     atomic.Int64
 	connSeq     atomic.Int64
@@ -127,15 +129,25 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	c := &Coordinator{
-		cfg:    cfg,
-		table:  newLeaseTable(cfg.StartSeed, cfg.Seeds, cfg.LeaseSlots, cfg.ResumeWatermark),
-		corpus: cfg.Corpus,
-		dedup:  make(map[uint64]struct{}, len(cfg.KnownFindings)),
-		done:   make(chan struct{}),
+		cfg:   cfg,
+		dedup: make(map[uint64]struct{}, len(cfg.KnownFindings)),
+		done:  make(chan struct{}),
+	}
+	watermark := int64(0)
+	if cp := cfg.Resume; cp != nil {
+		watermark, c.base = cp.NextSlot, cp.Totals
+		if cp.Corpus != nil {
+			crp, err := corpus.FromSnapshot(cp.Corpus)
+			if err != nil {
+				return nil, fmt.Errorf("resume: corpus: %w", err)
+			}
+			c.corpus = crp
+		}
 	}
 	if c.corpus == nil {
 		c.corpus = corpus.New(cfg.Run.MaxCorpus)
 	}
+	c.table = newLeaseTable(cfg.StartSeed, cfg.Seeds, cfg.LeaseSlots, watermark)
 	c.deltas = corpus.NewDeltaSet(c.corpus, c.table.watermark())
 	for _, fp := range cfg.KnownFindings {
 		c.dedup[fp] = struct{}{}
@@ -158,17 +170,14 @@ func (c *Coordinator) installMetrics() {
 		return
 	}
 	reg.Collect(func(em *obs.Emit) {
-		total, released, inflight, reissued := c.table.snapshot()
-		em.Gauge("gauntlet_fleet_workers", "Connected fleet workers.", nil, float64(c.workers.Load()))
-		em.Gauge("gauntlet_fleet_leases_inflight", "Leases issued and not yet completed.", nil, float64(inflight))
-		em.Gauge("gauntlet_fleet_leases_total", "Leases in the campaign partition.", nil, float64(total))
-		em.Counter("gauntlet_fleet_leases_released_total", "Leases released past the watermark.", nil, float64(released))
-		em.Counter("gauntlet_fleet_leases_reissued_total", "Leases returned to pending by expiry or worker loss.", nil, float64(reissued))
-		c.releaseMu.Lock()
-		findings, dups := uint64(len(c.findings)), c.duplicates
-		c.releaseMu.Unlock()
-		em.Counter("gauntlet_fleet_findings_total", "Fleet-unique findings released.", nil, float64(findings))
-		em.Counter("gauntlet_fleet_duplicates_total", "Cross-lease duplicate findings suppressed.", nil, float64(dups))
+		st := c.Status()
+		em.Gauge("gauntlet_fleet_workers", "Connected fleet workers.", nil, float64(st.Workers))
+		em.Gauge("gauntlet_fleet_leases_inflight", "Leases issued and not yet completed.", nil, float64(st.LeasesInflight))
+		em.Gauge("gauntlet_fleet_leases_total", "Leases in the campaign partition.", nil, float64(st.LeasesTotal))
+		em.Counter("gauntlet_fleet_leases_released_total", "Leases released past the watermark.", nil, float64(st.LeasesReleased))
+		em.Counter("gauntlet_fleet_leases_reissued_total", "Leases returned to pending by expiry or worker loss.", nil, float64(st.LeasesReissued))
+		em.Counter("gauntlet_fleet_findings_total", "Fleet-unique findings released.", nil, float64(st.Findings))
+		em.Counter("gauntlet_fleet_duplicates_total", "Cross-lease duplicate findings suppressed.", nil, float64(st.Duplicates))
 	})
 	c.leaseLatency = func(worker string, d time.Duration) {
 		reg.Histogram("gauntlet_fleet_lease_latency_seconds",
@@ -397,6 +406,7 @@ func (c *Coordinator) release() {
 		}
 		c.totals.Generated += res.Stats.Generated
 		c.totals.Crashes += res.Stats.Crashes
+		c.totals.InvalidTransforms += res.Stats.InvalidTransforms
 		c.totals.Miscompilations += res.Stats.Miscompilations
 		c.totals.Mismatches += res.Stats.Mismatches
 		c.totals.Duplicates += res.Stats.Duplicates
@@ -406,17 +416,19 @@ func (c *Coordinator) release() {
 	}
 	c.lastRelease.Store(time.Now().UnixNano())
 	if c.cfg.State != nil {
+		totals := c.base
+		totals.Add(persist.Totals{
+			Programs:    c.totals.Generated,
+			Findings:    uint64(len(c.findings)),
+			Duplicates:  c.totals.Duplicates + c.duplicates,
+			ToolErrors:  c.totals.ToolErrors,
+			Quarantined: c.totals.Quarantined,
+		})
 		cp := &persist.Checkpoint{
 			NextSlot: c.watermarkSlot(),
 			Seed:     c.cfg.Run.Seed,
 			Corpus:   c.corpus.Snapshot(),
-			Totals: persist.Totals{
-				Programs:    c.totals.Generated,
-				Findings:    uint64(len(c.findings)),
-				Duplicates:  c.totals.Duplicates + c.duplicates,
-				ToolErrors:  c.totals.ToolErrors,
-				Quarantined: c.totals.Quarantined,
-			},
+			Totals:   totals,
 		}
 		if err := c.cfg.State.SaveCheckpoint(cp); err != nil && c.relErr == nil {
 			c.relErr = fmt.Errorf("fleet: checkpoint: %w", err)

@@ -245,3 +245,34 @@ func TestWorkerKeepsDefaultContextClean(t *testing.T) {
 		t.Errorf("fleet worker interned %d terms into the immortal default context", after-before)
 	}
 }
+
+// TestFleetTotalsCountInvalidTransforms: a worker's lease tallies must
+// count invalid transforms like every other finding kind, so the fleet's
+// summed Totals report the same number the direct engine's Stats do.
+func TestFleetTotalsCountInvalidTransforms(t *testing.T) {
+	run := testRun()
+	run.Defects = []string{"P4C-X-01"}
+	run.Reduce = false
+	const seeds, leaseSlots = 32, 16
+	cfg, err := EngineConfig(&run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Seeds = seeds
+	e := core.NewEngine(cfg)
+	e.Run(context.Background())
+	want := e.Stats().InvalidTransforms
+	if want == 0 {
+		t.Fatalf("P4C-X-01 produced no invalid transform within %d seeds", seeds)
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{Run: run, Seeds: seeds, LeaseSlots: leaseSlots})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RunLocal(context.Background(), coord, localWorkers(2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := coord.Status().Totals.InvalidTransforms; got != want {
+		t.Errorf("fleet totals count %d invalid transforms, the direct engine %d", got, want)
+	}
+}

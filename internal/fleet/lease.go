@@ -147,15 +147,7 @@ func (t *leaseTable) watermark() int64 {
 func (t *leaseTable) expire(deadline time.Time) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
-	for id := t.released; id < t.total(); id++ {
-		if t.status[id] == leaseIssued && t.issued[id].Before(deadline) {
-			t.status[id] = leasePending
-			t.holder[id] = ""
-			t.reissued++
-			n++
-		}
-	}
+	n := t.repend(func(id int64) bool { return t.issued[id].Before(deadline) })
 	if n > 0 {
 		t.cond.Broadcast()
 	}
@@ -171,9 +163,16 @@ func (t *leaseTable) fail(worker string) int {
 	defer t.mu.Unlock()
 	t.gone[worker] = true
 	t.cond.Broadcast()
+	return t.repend(func(id int64) bool { return t.holder[id] == worker })
+}
+
+// repend returns every issued lease that match selects to the pending
+// state, counting it as a re-issue, and reports how many moved. The
+// caller holds mu.
+func (t *leaseTable) repend(match func(id int64) bool) int {
 	n := 0
 	for id := t.released; id < t.total(); id++ {
-		if t.status[id] == leaseIssued && t.holder[id] == worker {
+		if t.status[id] == leaseIssued && match(id) {
 			t.status[id] = leasePending
 			t.holder[id] = ""
 			t.reissued++

@@ -2,10 +2,10 @@ package fleet
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"gauntlet/internal/core"
-	"gauntlet/internal/corpus"
 	"gauntlet/internal/persist"
 )
 
@@ -69,14 +69,10 @@ func TestFleetResume(t *testing.T) {
 	if cp.NextSlot != 16 {
 		t.Fatalf("checkpoint NextSlot = %d, want 16", cp.NextSlot)
 	}
-	crp, err := corpus.FromSnapshot(cp.Corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var emitted []core.Finding
 	coord2, err := NewCoordinator(CoordinatorConfig{
 		Run: run, Seeds: seeds, LeaseSlots: leaseSlots, State: st2,
-		KnownFindings: known, ResumeWatermark: cp.NextSlot, Corpus: crp,
+		KnownFindings: known, Resume: cp,
 		OnFinding: func(f core.Finding) { emitted = append(emitted, f) },
 	})
 	if err != nil {
@@ -135,13 +131,9 @@ func TestFleetResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crp2, err := corpus.FromSnapshot(cp.Corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
 	coord3, err := NewCoordinator(CoordinatorConfig{
 		Run: run, Seeds: seeds, LeaseSlots: leaseSlots, State: st4,
-		KnownFindings: all, ResumeWatermark: 16, Corpus: crp2,
+		KnownFindings: all, Resume: cp,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +157,7 @@ func TestFleetResume(t *testing.T) {
 	// the coordinator is born complete.
 	coord4, err := NewCoordinator(CoordinatorConfig{
 		Run: run, Seeds: seeds, LeaseSlots: leaseSlots,
-		KnownFindings: all, ResumeWatermark: seeds,
+		KnownFindings: all, Resume: &persist.Checkpoint{NextSlot: seeds},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,5 +166,88 @@ func TestFleetResume(t *testing.T) {
 	case <-coord4.Done():
 	default:
 		t.Error("coordinator resumed past the end is not Done")
+	}
+}
+
+// TestFleetResumeCarriesTotals: checkpoint totals are lifetime counters.
+// A coordinator killed mid-campaign and resumed from its checkpoint must
+// finish with a checkpoint counting every slot of the campaign once and
+// every journaled finding, not only what the resumed incarnation saw.
+func TestFleetResumeCarriesTotals(t *testing.T) {
+	run := testRun()
+	run.Reduce = false
+	const seeds, leaseSlots = 32, 8
+	dir := t.TempDir()
+
+	// Phase 1: kill the coordinator as its first lease releases. A single
+	// worker completes its leases in order, so the kill lands
+	// mid-campaign.
+	st1, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, kill := context.WithCancel(context.Background())
+	defer kill()
+	coord1, err := NewCoordinator(CoordinatorConfig{
+		Run: run, Seeds: seeds, LeaseSlots: leaseSlots, State: st1,
+		Logf: func(format string, _ ...any) {
+			if strings.HasPrefix(format, "fleet: watermark") {
+				kill()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	RunLocal(ctx, coord1, localWorkers(1)) // the kill surfaces as a context error
+	st1.Close()
+
+	// Phase 2: resume from the checkpoint and finish the campaign.
+	st2, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := st2.LoadCheckpoint()
+	if err != nil || cp == nil {
+		t.Fatalf("checkpoint: %v (cp=%v)", err, cp)
+	}
+	if cp.NextSlot >= seeds {
+		t.Fatalf("the campaign finished before the kill (watermark %d)", cp.NextSlot)
+	}
+	known, _, err := st2.KnownFindings()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord2, err := NewCoordinator(CoordinatorConfig{
+		Run: run, Seeds: seeds, LeaseSlots: leaseSlots, State: st2,
+		KnownFindings: known, Resume: cp,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RunLocal(context.Background(), coord2, localWorkers(1)); err != nil {
+		t.Fatal(err)
+	}
+	st2.Close()
+
+	st3, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.Close()
+	final, err := st3.LoadCheckpoint()
+	if err != nil || final == nil {
+		t.Fatalf("final checkpoint: %v (cp=%v)", err, final)
+	}
+	_, nrec, err := st3.KnownFindings()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.NextSlot != seeds || final.Totals.Programs != seeds {
+		t.Errorf("final checkpoint: watermark %d, %d programs; want %d and %d (resumed at %d)",
+			final.NextSlot, final.Totals.Programs, seeds, seeds, cp.NextSlot)
+	}
+	if final.Totals.Findings != uint64(nrec) {
+		t.Errorf("final checkpoint counts %d findings, the journal holds %d", final.Totals.Findings, nrec)
 	}
 }
