@@ -54,6 +54,19 @@ func (s Status) String() string {
 
 const unassigned int8 = -1
 
+// proofTracer, when non-nil, sees every clause each SAT instance takes
+// in or learns and every verdict it returns, so that a test can replay
+// the search through an independent checker (rup_test.go). Only
+// export_test.go sets it; outside tests the solver pays a nil check per
+// added clause, per conflict and per verdict.
+var proofTracer interface {
+	// clause reports a clause as given to AddClause (learnt false) or a
+	// learnt clause, units included (learnt true).
+	clause(s *SAT, lits []Lit, learnt bool)
+	// verdict reports the outcome of a SolveAssuming call.
+	verdict(s *SAT, st Status, assumps []Lit)
+}
+
 // SAT is a CDCL SAT solver. The zero value is ready to use.
 type SAT struct {
 	nVars    int
@@ -73,6 +86,10 @@ type SAT struct {
 	// Conflicts counts total conflicts across all Solve calls
 	// (statistics and restart policy).
 	Conflicts int
+	// Decisions counts decision literals (assumptions included) and
+	// Propagations counts literals taken off the trail by unit
+	// propagation, both across all Solve calls (statistics).
+	Decisions, Propagations int
 	// MaxConflicts bounds each Solve call (the budget is per call, so an
 	// incremental session does not starve later queries); 0 means
 	// unbounded. Exceeding it yields Unknown.
@@ -134,6 +151,9 @@ func (s *SAT) value(l Lit) int8 {
 // clauses between Solve calls is allowed: the solver first retracts any
 // in-flight decisions back to the root level.
 func (s *SAT) AddClause(lits ...Lit) {
+	if proofTracer != nil {
+		proofTracer.clause(s, lits, false)
+	}
 	if s.unsat {
 		return
 	}
@@ -215,6 +235,7 @@ func (s *SAT) propagate() int {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
+		s.Propagations++
 		falseLit := p.Neg()
 		ws := s.watches[falseLit.index()]
 		var kept []int
@@ -393,6 +414,14 @@ func (s *SAT) Solve() Status {
 // with different assumptions can still be Sat. This is how soft
 // preference constraints are decided without re-blasting the formula.
 func (s *SAT) SolveAssuming(assumps ...Lit) Status {
+	st := s.search(assumps)
+	if proofTracer != nil {
+		proofTracer.verdict(s, st, assumps)
+	}
+	return st
+}
+
+func (s *SAT) search(assumps []Lit) Status {
 	if s.unsat {
 		return Unsat
 	}
@@ -426,6 +455,9 @@ func (s *SAT) SolveAssuming(assumps ...Lit) Status {
 				return Unsat
 			}
 			learnt, blevel := s.analyze(conflict)
+			if proofTracer != nil {
+				proofTracer.clause(s, learnt, true)
+			}
 			s.backtrack(blevel)
 			if len(learnt) == 1 {
 				if !s.enqueue(learnt[0], -1) {
@@ -474,6 +506,7 @@ func (s *SAT) SolveAssuming(assumps ...Lit) Status {
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
 		s.enqueue(next, -1)
+		s.Decisions++
 	}
 }
 

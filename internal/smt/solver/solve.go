@@ -11,8 +11,16 @@ type Result struct {
 	Status Status
 	// Model assigns every input variable when Status == Sat.
 	Model smt.Assignment
-	// Conflicts is the CDCL conflict count (statistics).
-	Conflicts int
+	// Conflicts, Decisions and Propagations are the CDCL effort this
+	// result cost (statistics; see the SAT fields of the same names).
+	Conflicts, Decisions, Propagations int
+}
+
+// add accumulates another query's effort into r.
+func (r *Result) add(o Result) {
+	r.Conflicts += o.Conflicts
+	r.Decisions += o.Decisions
+	r.Propagations += o.Propagations
 }
 
 // Solve decides the conjunction of the assertions and returns a model when
@@ -96,9 +104,15 @@ func (s *Session) Solve() Result { return s.SolveAssuming() }
 // temporarily assumed true. Unsat means unsatisfiable under the
 // assumptions only; the session remains usable.
 func (s *Session) SolveAssuming(assumps ...Lit) Result {
-	before := s.b.SAT().Conflicts
-	st := s.b.SAT().SolveAssuming(assumps...)
-	res := Result{Status: st, Conflicts: s.b.SAT().Conflicts - before}
+	sat := s.b.SAT()
+	c, d, p := sat.Conflicts, sat.Decisions, sat.Propagations
+	st := sat.SolveAssuming(assumps...)
+	res := Result{
+		Status:       st,
+		Conflicts:    sat.Conflicts - c,
+		Decisions:    sat.Decisions - d,
+		Propagations: sat.Propagations - p,
+	}
 	if st == Sat {
 		res.Model = s.b.Model()
 	}
@@ -125,7 +139,7 @@ func (s *Session) SolveAssumingSoft(fixed []Lit, soft [][]Lit) Result {
 	kept := append([]Lit(nil), fixed...)
 	for _, g := range soft {
 		trial := s.SolveAssuming(append(kept, g...)...)
-		res.Conflicts += trial.Conflicts
+		res.add(trial)
 		if trial.Status == Sat {
 			kept = append(kept, g...)
 			res.Model = trial.Model
@@ -206,7 +220,7 @@ func SolveWithPreferences(maxConflicts int, prefs []*smt.Term, assertions ...*sm
 		soft[i] = []Lit{s.Lit(p)}
 	}
 	out := s.SolveAssumingSoft(nil, soft)
-	out.Conflicts += res.Conflicts
+	out.add(res)
 	return out
 }
 

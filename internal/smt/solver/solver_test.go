@@ -47,10 +47,11 @@ func TestSATEmptyClause(t *testing.T) {
 }
 
 // TestSATPigeonhole exercises clause learning on PHP(n+1, n), a classic
-// hard unsatisfiable family.
+// hard unsatisfiable family, and certifies the Unsat with the RUP checker.
 func TestSATPigeonhole(t *testing.T) {
 	const holes = 5
 	const pigeons = holes + 1
+	pc := solver.CheckProofs(t)
 	s := &solver.SAT{}
 	v := make([][]solver.Lit, pigeons)
 	for p := 0; p < pigeons; p++ {
@@ -71,6 +72,9 @@ func TestSATPigeonhole(t *testing.T) {
 	}
 	if got := s.Solve(); got != solver.Unsat {
 		t.Fatalf("pigeonhole: Solve = %v, want unsat", got)
+	}
+	if pc.Unsat != 1 || pc.Lemmas == 0 {
+		t.Fatalf("proof check saw %d Unsat verdicts and %d learnt clauses, want 1 and some", pc.Unsat, pc.Lemmas)
 	}
 }
 
