@@ -1,8 +1,8 @@
 // Package solver decides satisfiability of smt terms. It contains a CDCL
 // SAT solver (watched literals, 1-UIP clause learning, VSIDS-style
-// activities, Luby restarts, phase saving) and a Tseitin bit-blaster that
-// reduces QF_BV terms to CNF over it. Together they replace the Z3 calls
-// of the paper's implementation.
+// activities with a binary order heap for decisions, Luby restarts, phase
+// saving) and a Tseitin bit-blaster that reduces QF_BV terms to CNF over
+// it. Together they replace the Z3 calls of the paper's implementation.
 package solver
 
 import "fmt"
@@ -78,6 +78,14 @@ type SAT struct {
 	phase    []int8  // var → saved phase
 	activity []float64
 	varInc   float64
+	// order is a binary max-heap of variables keyed by (activity
+	// descending, index ascending), so its top is exactly the variable a
+	// linear scan for "the first unassigned variable of highest
+	// activity" picks. Every unassigned variable is in it; assigned ones
+	// leave lazily, when decide meets them at the top, and return on
+	// backtrack. orderPos maps a variable to its heap slot, -1 if absent.
+	order    []int
+	orderPos []int
 	trail    []Lit
 	trailLim []int
 	qhead    int
@@ -109,30 +117,33 @@ type SAT struct {
 	// query Unsat without touching the clause database.
 	assumps []Lit
 
-	seen []bool // scratch for analyze
+	seen  []bool // scratch for analyze
+	clBuf []Lit  // scratch for AddClause's simplification
+	inBuf []Lit  // scratch copy of AddClause's input for proofTracer
 }
 
 // NewVar allocates a fresh variable and returns its (positive) index.
 // Variables are 1-based; index 0 of the internal arrays is padding.
 func (s *SAT) NewVar() int {
-	if s.nVars == 0 && len(s.assign) == 0 {
-		s.assign = append(s.assign, unassigned)
-		s.level = append(s.level, 0)
-		s.reason = append(s.reason, -1)
-		s.phase = append(s.phase, 0)
-		s.activity = append(s.activity, 0)
-		s.seen = append(s.seen, false)
-		s.watches = append(s.watches, nil, nil)
+	if len(s.assign) == 0 {
+		s.grow()
 	}
 	s.nVars++
+	s.grow()
+	s.orderInsert(s.nVars)
+	return s.nVars
+}
+
+// grow appends one variable's slot to every per-variable array.
+func (s *SAT) grow() {
 	s.assign = append(s.assign, unassigned)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, -1)
 	s.phase = append(s.phase, 0)
 	s.activity = append(s.activity, 0)
+	s.orderPos = append(s.orderPos, -1)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
-	return s.nVars
 }
 
 func (s *SAT) value(l Lit) int8 {
@@ -152,7 +163,10 @@ func (s *SAT) value(l Lit) int8 {
 // in-flight decisions back to the root level.
 func (s *SAT) AddClause(lits ...Lit) {
 	if proofTracer != nil {
-		proofTracer.clause(s, lits, false)
+		// A copy, so that lits does not escape and callers' variadic
+		// arguments stay on their stacks.
+		s.inBuf = append(s.inBuf[:0], lits...)
+		proofTracer.clause(s, s.inBuf, false)
 	}
 	if s.unsat {
 		return
@@ -160,18 +174,22 @@ func (s *SAT) AddClause(lits ...Lit) {
 	if s.decisionLevel() > 0 {
 		s.backtrack(0)
 	}
-	// Simplify: drop duplicate/false literals, detect tautologies.
-	var cl []Lit
-	seen := map[Lit]bool{}
+	// Simplify: drop duplicate/false literals, detect tautologies. The
+	// duplicate scan is linear in the kept literals; the blaster's
+	// clauses have at most three.
+	cl := s.clBuf[:0]
+next:
 	for _, l := range lits {
 		if l.Var() > s.nVars || l == 0 {
 			panic(fmt.Sprintf("sat: bad literal %d", l))
 		}
-		if seen[l] {
-			continue
-		}
-		if seen[l.Neg()] {
-			return // tautology
+		for _, k := range cl {
+			if k == l {
+				continue next
+			}
+			if k == l.Neg() {
+				return // tautology
+			}
 		}
 		// Top-level values.
 		if s.level[l.Var()] == 0 {
@@ -182,9 +200,9 @@ func (s *SAT) AddClause(lits ...Lit) {
 				continue // already false at top level
 			}
 		}
-		seen[l] = true
 		cl = append(cl, l)
 	}
+	s.clBuf = cl
 	switch len(cl) {
 	case 0:
 		s.unsat = true
@@ -198,7 +216,7 @@ func (s *SAT) AddClause(lits ...Lit) {
 		}
 		return
 	}
-	s.attach(cl)
+	s.attach(append([]Lit(nil), cl...))
 }
 
 func (s *SAT) attach(cl []Lit) {
@@ -237,8 +255,10 @@ func (s *SAT) propagate() int {
 		s.qhead++
 		s.Propagations++
 		falseLit := p.Neg()
+		// Compact the watch list in place: ws[:kept] holds the clauses
+		// that still watch falseLit, in their original order.
 		ws := s.watches[falseLit.index()]
-		var kept []int
+		kept := 0
 		for wi := 0; wi < len(ws); wi++ {
 			ci := ws[wi]
 			cl := s.clauses[ci]
@@ -248,7 +268,8 @@ func (s *SAT) propagate() int {
 			}
 			// Satisfied by the other watch?
 			if s.value(cl[0]) == 1 {
-				kept = append(kept, ci)
+				ws[kept] = ci
+				kept++
 				continue
 			}
 			// Find a new literal to watch.
@@ -265,27 +286,102 @@ func (s *SAT) propagate() int {
 				continue
 			}
 			// Unit or conflict.
-			kept = append(kept, ci)
+			ws[kept] = ci
+			kept++
 			if !s.enqueue(cl[0], ci) {
-				// Conflict: restore remaining watches and report.
-				kept = append(kept, ws[wi+1:]...)
-				s.watches[falseLit.index()] = kept
+				// Conflict: keep the unvisited watches and report.
+				kept += copy(ws[kept:], ws[wi+1:])
+				s.watches[falseLit.index()] = ws[:kept]
 				return ci
 			}
 		}
-		s.watches[falseLit.index()] = kept
+		s.watches[falseLit.index()] = ws[:kept]
 	}
 	return -1
 }
 
 func (s *SAT) bumpVar(v int) {
 	s.activity[v] += s.varInc
+	if s.orderPos[v] >= 0 {
+		s.orderUp(s.orderPos[v])
+	}
 	if s.activity[v] > 1e100 {
 		for i := 1; i <= s.nVars; i++ {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
+		// Rescaling keeps the order except where small activities
+		// underflow into ties, so rebuild rather than trust it.
+		for i := len(s.order)/2 - 1; i >= 0; i-- {
+			s.orderDown(i)
+		}
 	}
+}
+
+// orderBefore is the heap order: higher activity first, then lower
+// variable index.
+func (s *SAT) orderBefore(a, b int) bool {
+	if s.activity[a] != s.activity[b] {
+		return s.activity[a] > s.activity[b]
+	}
+	return a < b
+}
+
+func (s *SAT) orderInsert(v int) {
+	s.orderPos[v] = len(s.order)
+	s.order = append(s.order, v)
+	s.orderUp(len(s.order) - 1)
+}
+
+func (s *SAT) orderUp(i int) {
+	v := s.order[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.orderBefore(v, s.order[p]) {
+			break
+		}
+		s.order[i] = s.order[p]
+		s.orderPos[s.order[i]] = i
+		i = p
+	}
+	s.order[i] = v
+	s.orderPos[v] = i
+}
+
+func (s *SAT) orderDown(i int) {
+	v := s.order[i]
+	n := len(s.order)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s.orderBefore(s.order[c+1], s.order[c]) {
+			c++
+		}
+		if !s.orderBefore(s.order[c], v) {
+			break
+		}
+		s.order[i] = s.order[c]
+		s.orderPos[s.order[i]] = i
+		i = c
+	}
+	s.order[i] = v
+	s.orderPos[v] = i
+}
+
+// orderPop removes and returns the heap's top variable.
+func (s *SAT) orderPop() int {
+	v := s.order[0]
+	last := s.order[len(s.order)-1]
+	s.order = s.order[:len(s.order)-1]
+	s.orderPos[v] = -1
+	if len(s.order) > 0 {
+		s.order[0] = last
+		s.orderPos[last] = 0
+		s.orderDown(0)
+	}
+	return v
 }
 
 // analyze derives a 1-UIP learnt clause from a conflict; returns the
@@ -362,18 +458,22 @@ func (s *SAT) backtrack(level int) {
 		s.phase[v] = s.assign[v]
 		s.assign[v] = unassigned
 		s.reason[v] = -1
+		if s.orderPos[v] < 0 {
+			s.orderInsert(v)
+		}
 	}
 	s.trail = s.trail[:s.trailLim[level]]
 	s.trailLim = s.trailLim[:level]
 	s.qhead = len(s.trail)
 }
 
-// decide picks the unassigned variable with the highest activity.
+// decide picks the unassigned variable with the highest activity, the
+// lowest-indexed one among equals, at its saved phase.
 func (s *SAT) decide() Lit {
-	best, bestAct := 0, -1.0
-	for v := 1; v <= s.nVars; v++ {
-		if s.assign[v] == unassigned && s.activity[v] > bestAct {
-			best, bestAct = v, s.activity[v]
+	best := 0
+	for best == 0 && len(s.order) > 0 {
+		if v := s.orderPop(); s.assign[v] == unassigned {
+			best = v
 		}
 	}
 	if best == 0 {
