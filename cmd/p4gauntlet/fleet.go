@@ -223,7 +223,7 @@ func coordinatorMain(ff fuzzFlags, fl fleetFlags) {
 	findings := coord.Findings()
 	st := coord.Status()
 	fmt.Fprintf(os.Stderr, "fleet: campaign complete: %d programs, %d findings (%d cross-lease duplicates suppressed), %d leases (%d re-issued)\n",
-		st.Totals.Generated, len(findings), st.Duplicates, st.LeasesTotal, st.LeasesReissued)
+		st.Totals.Generated, st.Findings, st.Duplicates, st.LeasesTotal, st.LeasesReissued)
 	if len(findings) > 0 {
 		os.Exit(1) // the bounded-campaign CI contract, as in fuzz mode
 	}

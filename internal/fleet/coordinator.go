@@ -207,12 +207,20 @@ func (c *Coordinator) Err() error {
 	return c.relErr
 }
 
-// Status snapshots the /statusz fleet section.
+// Status snapshots the /statusz fleet section. Findings and Totals count
+// the whole campaign, earlier incarnations included.
 func (c *Coordinator) Status() FleetStatus {
 	total, released, inflight, reissued := c.table.snapshot()
 	c.releaseMu.Lock()
 	findings, dups, totals := uint64(len(c.findings)), c.duplicates, c.totals
 	c.releaseMu.Unlock()
+	// Fold in the earlier incarnations, so that a resumed campaign
+	// reports lifetime numbers, as its checkpoints do.
+	findings += c.base.Findings
+	totals.Generated += c.base.Programs
+	totals.Duplicates += c.base.Duplicates
+	totals.ToolErrors += c.base.ToolErrors
+	totals.Quarantined += c.base.Quarantined
 	return FleetStatus{
 		Workers:        c.workers.Load(),
 		LeasesTotal:    total,

@@ -251,3 +251,72 @@ func TestFleetResumeCarriesTotals(t *testing.T) {
 		t.Errorf("final checkpoint counts %d findings, the journal holds %d", final.Totals.Findings, nrec)
 	}
 }
+
+// TestFleetStatusLifetimeAfterResume: Status reports the whole campaign
+// after a resume, as the checkpoints do. A 32-slot campaign resumed at
+// slot 16 counts 32 programs and every journaled finding, not only the
+// resumed incarnation's.
+func TestFleetStatusLifetimeAfterResume(t *testing.T) {
+	run := testRun()
+	run.Reduce = false
+	const seeds, leaseSlots = 32, 8
+	dir := t.TempDir()
+
+	// Phase 1: the first 16 slots as a campaign of their own. Its final
+	// checkpoint is the one the 32-slot campaign writes at slot 16: the
+	// leases up to there are the same.
+	st1, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord1, err := NewCoordinator(CoordinatorConfig{Run: run, Seeds: seeds / 2, LeaseSlots: leaseSlots, State: st1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RunLocal(context.Background(), coord1, localWorkers(1)); err != nil {
+		t.Fatal(err)
+	}
+	st1.Close()
+
+	// Phase 2: resume the 32-slot campaign at slot 16.
+	st2, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := st2.LoadCheckpoint()
+	if err != nil || cp == nil || cp.NextSlot != seeds/2 {
+		t.Fatalf("checkpoint: %v (cp=%+v), want watermark %d", err, cp, seeds/2)
+	}
+	known, _, err := st2.KnownFindings()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord2, err := NewCoordinator(CoordinatorConfig{
+		Run: run, Seeds: seeds, LeaseSlots: leaseSlots, State: st2,
+		KnownFindings: known, Resume: cp,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RunLocal(context.Background(), coord2, localWorkers(1)); err != nil {
+		t.Fatal(err)
+	}
+	st2.Close()
+
+	st3, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.Close()
+	_, nrec, err := st3.KnownFindings()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := coord2.Status()
+	if got.Totals.Generated != seeds {
+		t.Errorf("Status().Totals.Generated = %d, want %d", got.Totals.Generated, seeds)
+	}
+	if got.Findings != uint64(nrec) || nrec == 0 {
+		t.Errorf("Status().Findings = %d, the journal holds %d (want equal and nonzero)", got.Findings, nrec)
+	}
+}

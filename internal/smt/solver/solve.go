@@ -236,12 +236,25 @@ func Equivalent(maxConflicts int, a, b *smt.Term) (bool, smt.Assignment, Status)
 // as conflict-budget exhaustion — instead of letting one pathological
 // miter stall its caller indefinitely.
 func EquivalentContext(ctx context.Context, maxConflicts int, a, b *smt.Term) (bool, smt.Assignment, Status) {
-	res := SolveContext(ctx, maxConflicts, smt.Ne(a, b))
+	ne := smt.Ne(a, b)
+	return equivalence(ne, SolveContext(ctx, maxConflicts, ne))
+}
+
+// equivalence turns a solver result on the miter ne (a != b) into an
+// Equivalent verdict. A Sat model is replayed through smt.Eval before it
+// becomes a counterexample, as EquivalentConcolic does for tape
+// witnesses: a model under which a and b agree would mean a fault in the
+// blaster or the SAT core, and it degrades to Unknown (which verdict
+// caches never keep), never to Sat.
+func equivalence(ne *smt.Term, res Result) (bool, smt.Assignment, Status) {
 	switch res.Status {
 	case Unsat:
 		return true, nil, Unsat
 	case Sat:
-		return false, res.Model, Sat
+		if smt.Eval(ne, res.Model) == 1 {
+			return false, res.Model, Sat
+		}
+		return false, nil, Unknown
 	default:
 		return false, nil, Unknown
 	}
